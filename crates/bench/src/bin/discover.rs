@@ -88,6 +88,7 @@ fn main() {
     let sink = ReportSink::from_spec(&spec, &mut rest);
     let mut engine = "dense".to_owned();
     let mut limit = 0usize;
+    let mut extras = Vec::new();
     let mut rest = rest.into_iter();
     while let Some(arg) = rest.next() {
         let mut value = |flag: &str| {
@@ -102,12 +103,13 @@ fn main() {
                     .parse()
                     .unwrap_or_else(|_| panic!("--limit expects a count, got {raw:?}"));
             }
-            other => panic!(
-                "unknown flag {other:?}; discover adds: --engine dense|legacy, --limit <N>, \
-                 --bench-out <path>"
-            ),
+            _ => extras.push(arg),
         }
     }
+    ScenarioSpec::expect_no_extras_for(
+        &extras,
+        "--engine <dense|legacy>, --limit <N>, --bench-out <path>",
+    );
     assert!(
         engine == "dense" || engine == "legacy",
         "--engine must be dense or legacy, got {engine:?}"

@@ -170,7 +170,11 @@ fn main() {
             _ => extras.push(arg),
         }
     }
-    ScenarioSpec::expect_no_extras(&extras);
+    ScenarioSpec::expect_no_extras_for(
+        &extras,
+        "--engine <full|incremental>, --compare-engines, --bench-out <path>, \
+         --metrics-out <path>",
+    );
     // Like `discover`, the evolution workload is internet-scale by
     // definition; --quick keeps the grid coarse and the rounds few.
     let spec = at_market_scale(spec);

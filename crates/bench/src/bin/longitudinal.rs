@@ -111,7 +111,7 @@ fn main() {
     let (spec, mut rest) = ScenarioSpec::from_args(std::env::args());
     let sink = ReportSink::from_spec(&spec, &mut rest);
     let metrics = MetricsSink::from_args(&mut rest);
-    ScenarioSpec::expect_no_extras(&rest);
+    ScenarioSpec::expect_no_extras_for(&rest, "--bench-out <path>, --metrics-out <path>");
     assert!(
         !spec.source.caida.is_empty(),
         "longitudinal requires --caida <dir> (a directory with one subdirectory per snapshot)"

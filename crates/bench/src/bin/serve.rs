@@ -59,6 +59,7 @@ fn main() {
     let mut engine = pan_core::Engine::Full;
     let mut max_markets = pan_serve::DEFAULT_MAX_MARKETS;
     let mut slow_ms = 1.0f64;
+    let mut extras = Vec::new();
     let mut rest = rest.into_iter();
     while let Some(arg) = rest.next() {
         match arg.as_str() {
@@ -91,15 +92,14 @@ fn main() {
                     "--slow-ms must be a non-negative number of milliseconds"
                 );
             }
-            other => {
-                panic!(
-                    "unknown flag {other:?}; serve adds: --addr <host:port>, \
-                     --engine <full|incremental>, --max-markets <n>, --slow-ms <ms>, \
-                     --bench-out <path>, --metrics-out <path>"
-                )
-            }
+            _ => extras.push(arg),
         }
     }
+    ScenarioSpec::expect_no_extras_for(
+        &extras,
+        "--addr <host:port>, --engine <full|incremental>, --max-markets <n>, \
+         --slow-ms <ms>, --bench-out <path>, --metrics-out <path>",
+    );
 
     let server = MarketServer::bind(&addr, spec.threads)
         .unwrap_or_else(|e| panic!("cannot bind {addr:?}: {e}"))

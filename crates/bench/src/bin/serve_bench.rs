@@ -272,6 +272,7 @@ fn main() {
         requests: if spec.quick { 100 } else { 400 },
         quit: false,
     };
+    let mut extras = Vec::new();
     let mut rest = rest.into_iter();
     while let Some(arg) = rest.next() {
         let mut value = |flag: &str| {
@@ -290,12 +291,14 @@ fn main() {
                 options.requests = value("--requests").parse().expect("--requests is a count");
             }
             "--quit" => options.quit = true,
-            other => panic!(
-                "unknown flag {other:?}; serve-bench adds: --addr <host:port>, --markets <n>, \
-                 --clients <n>, --requests <n>, --quit, --bench-out <path>, --metrics-out <path>"
-            ),
+            _ => extras.push(arg),
         }
     }
+    ScenarioSpec::expect_no_extras_for(
+        &extras,
+        "--addr <host:port>, --markets <n>, --clients <n>, --requests <n>, --quit, \
+         --bench-out <path>, --metrics-out <path>",
+    );
     let asns_per_market = if spec.quick { 6 } else { 12 };
 
     let addr = options.addr.as_str();

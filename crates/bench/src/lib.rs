@@ -34,7 +34,7 @@ mod mem;
 mod spec;
 
 pub use mem::{allocation_counts, peak_rss_bytes, CountingAllocator, MemoryReport};
-pub use spec::{DiscoverySpec, EvolutionSpec, ScenarioSpec, SourceSpec};
+pub use spec::{DiscoverySpec, EvolutionSpec, ScenarioSpec, SourceSpec, UsageError};
 
 use pan_core::discovery::CandidatePolicy;
 use pan_core::dynamics::MarketState;

@@ -136,6 +136,12 @@ impl MemoryReport {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that read the process-wide allocation
+    /// counters: the test harness runs tests on parallel threads, and
+    /// one test bumping the counters between another's two reads made
+    /// that one fail at random.
+    static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn peak_rss_is_measured_on_linux() {
         let peak = peak_rss_bytes();
@@ -147,6 +153,9 @@ mod tests {
 
     #[test]
     fn capture_is_coherent() {
+        let _counters = COUNTERS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let report = MemoryReport::capture();
         // The test harness does not install the counting allocator, so
         // the counters stay at zero — the capture must still be
@@ -160,6 +169,9 @@ mod tests {
     fn counting_allocator_counts_what_it_serves() {
         let alloc = CountingAllocator;
         let layout = Layout::from_size_align(64, 8).unwrap();
+        let _counters = COUNTERS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let before = allocation_counts();
         // Drive the shim directly (it is not the harness's global
         // allocator): one alloc must bump the counter by exactly one

@@ -133,10 +133,51 @@ impl Default for ScenarioSpec {
     }
 }
 
+/// A command line a binary will not run: `--help` (or `-h`), or
+/// arguments no parser recognized.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum UsageError {
+    /// Usage was asked for.
+    Help,
+    /// These arguments matched no flag.
+    Unknown(Vec<String>),
+}
+
+impl UsageError {
+    /// Prints the usage of the running binary and exits: to stdout with
+    /// code 0 for [`Help`](Self::Help), to stderr after the unknown
+    /// arguments with code 2 otherwise. `own_flags` lists the flags the
+    /// binary adds to the shared ones (empty when it adds none).
+    pub fn exit(&self, own_flags: &str) -> ! {
+        let program = std::env::args()
+            .next()
+            .and_then(|arg0| {
+                std::path::Path::new(&arg0)
+                    .file_name()
+                    .map(|name| name.to_string_lossy().into_owned())
+            })
+            .unwrap_or_else(|| "pan-bench".to_owned());
+        let mut usage = format!("usage: {program} [flags]\nshared flags: {USAGE}");
+        if !own_flags.is_empty() {
+            usage.push_str(&format!("\n{program} adds: {own_flags}"));
+        }
+        match self {
+            UsageError::Help => {
+                println!("{usage}");
+                std::process::exit(0);
+            }
+            UsageError::Unknown(args) => {
+                eprintln!("error: unknown flags {args:?}\n{usage}");
+                std::process::exit(2);
+            }
+        }
+    }
+}
+
 const USAGE: &str = "--quick, --seed <u64>, --json, --threads <N>, --ases <N>, --sample <N>, \
      --reroute <f>, --attract <f>, --grid <N>, --khop <N>, --khop-cap <N>, --noise <f>, \
      --top <N>, --rounds <N>, --adopt-top <N>, --min-surplus <f>, --shock <f>, \
-     --caida <dir>, --snapshot <name>, --spec <file.json>, --dump-spec";
+     --caida <dir>, --snapshot <name>, --spec <file.json>, --dump-spec, --help";
 
 impl ScenarioSpec {
     /// Parses the shared flags from an `std::env::args`-style iterator
@@ -265,11 +306,12 @@ impl ScenarioSpec {
 
     /// Parses [`std::env::args`], rejecting any argument the shared
     /// parser does not recognize — the one-liner for binaries with no
-    /// flags of their own.
+    /// flags of their own. `--help` prints usage and exits 0; an
+    /// unknown flag prints usage to stderr and exits 2.
     ///
     /// # Panics
     ///
-    /// Panics with a usage message on unknown or malformed arguments.
+    /// Panics with a usage message on malformed flag values.
     #[must_use]
     pub fn from_env_strict() -> Self {
         let (spec, rest) = Self::from_args(std::env::args());
@@ -277,14 +319,34 @@ impl ScenarioSpec {
         spec
     }
 
-    /// Aborts with a usage message if binary-agnostic parsing left
-    /// unrecognized arguments behind.
+    /// Classifies what every parser left behind: nothing is fine,
+    /// `--help`/`-h` anywhere asks for usage, anything else is unknown.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `rest` is non-empty.
+    /// [`UsageError::Help`] or [`UsageError::Unknown`], as above.
+    pub fn check_extras(rest: &[String]) -> Result<(), UsageError> {
+        if rest.iter().any(|arg| arg == "--help" || arg == "-h") {
+            Err(UsageError::Help)
+        } else if rest.is_empty() {
+            Ok(())
+        } else {
+            Err(UsageError::Unknown(rest.to_vec()))
+        }
+    }
+
+    /// Exits through [`UsageError::exit`] if parsing left arguments
+    /// behind, for binaries without flags of their own.
     pub fn expect_no_extras(rest: &[String]) {
-        assert!(rest.is_empty(), "unknown flags {rest:?}; known: {USAGE}");
+        Self::expect_no_extras_for(rest, "");
+    }
+
+    /// [`expect_no_extras`](Self::expect_no_extras) for a binary that
+    /// adds `own_flags` to the shared ones (listed in its usage).
+    pub fn expect_no_extras_for(rest: &[String], own_flags: &str) {
+        if let Err(error) = Self::check_extras(rest) {
+            error.exit(own_flags);
+        }
     }
 
     /// The thread pool configured by `--threads`.
@@ -435,9 +497,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown flags")]
-    fn extras_panic_when_forbidden() {
-        ScenarioSpec::expect_no_extras(&["--wat".to_owned()]);
+    fn extras_are_usage_errors() {
+        let owned = |items: &[&str]| items.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>();
+        assert_eq!(ScenarioSpec::check_extras(&[]), Ok(()));
+        assert_eq!(
+            ScenarioSpec::check_extras(&owned(&["--wat", "3"])),
+            Err(UsageError::Unknown(owned(&["--wat", "3"])))
+        );
+        for help in ["--help", "-h"] {
+            assert_eq!(
+                ScenarioSpec::check_extras(&owned(&["--wat", help])),
+                Err(UsageError::Help)
+            );
+        }
     }
 
     #[test]

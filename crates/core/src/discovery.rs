@@ -39,6 +39,9 @@
 //! oracle for the dense engine and the "before" side of the
 //! `BENCH_discovery.json` comparison.
 
+use std::cmp::Ordering;
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use pan_econ::{DenseEconomics, FlowMatrix, FlowVec};
@@ -265,17 +268,25 @@ pub fn enumerate_candidates_for(
 }
 
 /// Immutable batch-evaluation context: the topology and its dense flow
-/// and pricing tables, plus precomputed per-AS flow totals.
+/// and pricing tables.
+///
+/// Per-AS flow totals are **not** precomputed: only nonlinear internal
+/// costs read them, and the standard markets price internal cost
+/// linearly. The first [`total`](Self::total) call fills them all at
+/// once with [`FlowMatrix::totals`] (bitwise the per-row sums
+/// [`FlowMatrix::total`] returns), and every later read on any thread
+/// shares that vector; a linear-cost sweep never computes them.
 #[derive(Debug, Clone)]
 pub struct BatchContext<'a> {
     graph: &'a AsGraph,
     econ: &'a DenseEconomics,
     flows: &'a FlowMatrix,
-    totals: Vec<f64>,
+    totals: OnceLock<Vec<f64>>,
 }
 
 impl<'a> BatchContext<'a> {
-    /// Builds the context, checking that the tables match the graph shape.
+    /// Builds the context, checking that the tables match the graph
+    /// shape. Allocates nothing: totals are filled on first use.
     ///
     /// # Errors
     ///
@@ -298,50 +309,23 @@ impl<'a> BatchContext<'a> {
             graph,
             econ,
             flows,
-            totals: flows.totals(),
+            totals: OnceLock::new(),
         })
     }
 
-    /// Like [`new`](Self::new), but fills a caller-provided totals
-    /// buffer instead of allocating one — the allocation-free path for
-    /// callers that rebuild a context every adoption
-    /// (`MarketState::adopt_outcome`). The buffer's previous contents
-    /// are discarded; recover it with
-    /// [`into_totals_buffer`](Self::into_totals_buffer). The computed
-    /// totals are bitwise those of [`new`](Self::new)
-    /// ([`FlowMatrix::totals_into`] runs the same per-row summation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AgreementError::DimensionMismatch`] if `econ` or
-    /// `flows` were built from a different graph.
-    pub fn with_totals_buffer(
-        graph: &'a AsGraph,
-        econ: &'a DenseEconomics,
-        flows: &'a FlowMatrix,
-        mut totals: Vec<f64>,
-    ) -> Result<Self> {
-        for actual in [econ.node_count(), flows.node_count()] {
-            if actual != graph.node_count() {
-                return Err(AgreementError::DimensionMismatch {
-                    expected: graph.node_count(),
-                    actual,
-                });
-            }
-        }
-        flows.totals_into(&mut totals);
-        Ok(BatchContext {
-            graph,
-            econ,
-            flows,
-            totals,
-        })
-    }
-
-    /// Consumes the context and returns its totals buffer for reuse.
+    /// The baseline flow total of `node` — the operand of its internal
+    /// cost. The first call fills every node's total (see the type
+    /// docs); evaluators read it once per party, outside the grid loop,
+    /// and only for nonlinear internal costs.
     #[must_use]
-    pub fn into_totals_buffer(self) -> Vec<f64> {
-        self.totals
+    pub fn total(&self, node: u32) -> f64 {
+        self.totals.get_or_init(|| self.flows.totals())[node as usize]
+    }
+
+    /// Whether any evaluation has needed the per-AS totals yet.
+    #[cfg(test)]
+    pub(crate) fn totals_filled(&self) -> bool {
+        self.totals.get().is_some()
     }
 
     /// The topology.
@@ -514,10 +498,12 @@ pub struct DiscoveryReport {
 impl DiscoveryReport {
     /// Assembles a report from evaluated outcomes: aggregate counts,
     /// the canonical ranking (surplus descending, ASN-pair tie-break),
-    /// and top-`top` truncation (`0` = keep all). The single place the
-    /// ranking rule lives — both the dense sweep and the legacy
-    /// comparison engine in `pan-bench` build their reports here, so
-    /// their outputs stay comparable by construction.
+    /// and top-`top` truncation (`0` = keep all). Both the dense sweep
+    /// and the legacy comparison engine in `pan-bench` build their
+    /// reports here, so their outputs stay comparable by construction.
+    /// The evolution engines do not sort a report: they share this
+    /// function's comparator and aggregate sums, but rank only the
+    /// outcomes their adoption scan reads.
     ///
     /// Surpluses are ordered by [`f64::total_cmp`], so assembly never
     /// panics on unusual inputs; the engines themselves reject
@@ -525,14 +511,8 @@ impl DiscoveryReport {
     /// engine-produced surpluses are always finite.
     #[must_use]
     pub fn from_outcomes(mut outcomes: Vec<PairOutcome>, top: usize) -> Self {
-        let concluded_flow_volume = outcomes.iter().filter(|o| o.flow_volume.is_some()).count();
-        let concluded_cash = outcomes.iter().filter(|o| o.cash.is_some()).count();
-        let total_surplus = outcomes.iter().map(|o| o.surplus).sum();
-        outcomes.sort_by(|a, b| {
-            b.surplus
-                .total_cmp(&a.surplus)
-                .then_with(|| (a.x, a.y).cmp(&(b.x, b.y)))
-        });
+        let (concluded_flow_volume, concluded_cash, total_surplus) = tally(outcomes.iter());
+        outcomes.sort_by(|a, b| rank_cmp((a.surplus, a.x, a.y), (b.surplus, b.x, b.y)));
         let candidates = outcomes.len();
         if top > 0 {
             outcomes.truncate(top);
@@ -544,6 +524,140 @@ impl DiscoveryReport {
             total_surplus,
             outcomes,
         }
+    }
+}
+
+/// A report's aggregates over `outcomes`, summed in iteration order:
+/// `(concluded_flow_volume, concluded_cash, total_surplus)`. The f64
+/// sum depends on its order, so every producer of these numbers — the
+/// report, and both evolution engines — sums through here, in
+/// enumeration order.
+pub(crate) fn tally<'a>(
+    outcomes: impl Iterator<Item = &'a PairOutcome> + Clone,
+) -> (usize, usize, f64) {
+    (
+        outcomes.clone().filter(|o| o.flow_volume.is_some()).count(),
+        outcomes.clone().filter(|o| o.cash.is_some()).count(),
+        outcomes.map(|o| o.surplus).sum(),
+    )
+}
+
+/// The canonical ranking of discovered outcomes, over `(surplus, x, y)`:
+/// surplus descending under [`f64::total_cmp`], then the ascending ASN
+/// pair. The one place the rule lives — the report sort, the evolution
+/// engine's [`ranked_scan`], and the incremental engine's heap all
+/// order through it.
+pub(crate) fn rank_cmp(a: (f64, Asn, Asn), b: (f64, Asn, Asn)) -> Ordering {
+    b.0.total_cmp(&a.0)
+        .then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
+}
+
+/// A 24-byte stand-in for one outcome in the adoption ranking: the
+/// fields [`rank_cmp`] reads plus the outcome's index, so selecting
+/// and sorting moves keys instead of ~140-byte outcomes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RankKey {
+    surplus: f64,
+    x: Asn,
+    y: Asn,
+    index: u32,
+}
+
+impl RankKey {
+    /// [`rank_cmp`], then the outcome index: equal `(surplus, x, y)`
+    /// keep their input order, as the stable report sort does.
+    fn order(a: &RankKey, b: &RankKey) -> Ordering {
+        rank_cmp((a.surplus, a.x, a.y), (b.surplus, b.x, b.y)).then(a.index.cmp(&b.index))
+    }
+}
+
+/// The adoption scan's view of `outcomes`: their indices in the order
+/// of `DiscoveryReport::from_outcomes(outcomes, 0).outcomes`, ending
+/// where the scan breaks — at the first outcome without a cash optimum
+/// or with `surplus <= min_surplus`.
+///
+/// Only outcomes with `surplus > min_surplus` get a key (written into
+/// `keys`, which is cleared first). For non-NaN
+/// surpluses — the engines clamp theirs through `f64::max`, so they
+/// never see NaN — every keyed outcome ranks strictly ahead of every
+/// other, so the keyed ranking is the report ranking's prefix and the
+/// first unkeyed outcome is exactly where the report scan would break;
+/// a keyed outcome without a cash optimum ends the scan as it would
+/// there. The keys are ranked lazily, `first_chunk` at a time
+/// (`select_nth_unstable_by` + a sort of the selected chunk), and the
+/// chunk doubles each time the consumer reads past it, so a scan pays
+/// for the depth it reads rather than for a sort of every outcome. The
+/// first chunk is ranked before this returns.
+pub(crate) fn ranked_scan<'a>(
+    outcomes: &'a [PairOutcome],
+    min_surplus: f64,
+    keys: &'a mut Vec<RankKey>,
+    first_chunk: usize,
+) -> impl Iterator<Item = usize> + 'a {
+    keys.clear();
+    keys.extend(
+        outcomes
+            .iter()
+            .enumerate()
+            .filter(|(_, o)| o.surplus > min_surplus)
+            .map(|(index, o)| RankKey {
+                surplus: o.surplus,
+                x: o.x,
+                y: o.y,
+                index: index as u32,
+            }),
+    );
+    ChunkedRanking::new(keys, first_chunk).take_while(|&index| outcomes[index].cash.is_some())
+}
+
+/// Lazily ranked keys: `keys[..ready]` hold the best `ready` keys in
+/// rank order, of which `keys[..next]` were already yielded.
+struct ChunkedRanking<'a> {
+    keys: &'a mut [RankKey],
+    next: usize,
+    ready: usize,
+    chunk: usize,
+}
+
+impl<'a> ChunkedRanking<'a> {
+    fn new(keys: &'a mut [RankKey], first_chunk: usize) -> Self {
+        let mut ranking = ChunkedRanking {
+            keys,
+            next: 0,
+            ready: 0,
+            chunk: first_chunk.max(1),
+        };
+        ranking.rank_next_chunk();
+        ranking
+    }
+
+    /// Moves the best `chunk` unranked keys, sorted, behind the ranked
+    /// prefix, and doubles the chunk for the next call.
+    fn rank_next_chunk(&mut self) {
+        let rest = &mut self.keys[self.ready..];
+        let take = self.chunk.min(rest.len());
+        if take == 0 {
+            return;
+        }
+        if take < rest.len() {
+            rest.select_nth_unstable_by(take - 1, RankKey::order);
+        }
+        rest[..take].sort_unstable_by(RankKey::order);
+        self.ready += take;
+        self.chunk = self.chunk.saturating_mul(2);
+    }
+}
+
+impl Iterator for ChunkedRanking<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.next == self.ready {
+            self.rank_next_chunk();
+        }
+        let key = self.keys[..self.ready].get(self.next)?;
+        self.next += 1;
+        Some(key.index as usize)
     }
 }
 
@@ -641,6 +755,8 @@ struct PartyProgram {
     end_host_a: f64,
     end_host_linear: Option<f64>,
     internal_linear: Option<f64>,
+    /// Baseline flow total, read only for a nonlinear internal cost.
+    base_total: f64,
     segments: usize,
 }
 
@@ -726,6 +842,7 @@ pub fn evaluate_candidate(
             end_host_a: 0.0,
             end_host_linear: ctx.econ.end_host_price(x).linear_rate(),
             internal_linear: ctx.econ.internal_cost(x).linear_rate(),
+            base_total: 0.0,
             segments: sx.targets.len(),
         },
         PartyProgram {
@@ -737,6 +854,7 @@ pub fn evaluate_candidate(
             end_host_a: 0.0,
             end_host_linear: ctx.econ.end_host_price(y).linear_rate(),
             internal_linear: ctx.econ.internal_cost(y).linear_rate(),
+            base_total: 0.0,
             segments: sy.targets.len(),
         },
     ];
@@ -839,10 +957,15 @@ pub fn evaluate_candidate(
                 program.lin_a += rate * program.end_host_a;
             }
         }
-        // Linear internal cost collapses too.
-        if let Some(rate) = program.internal_linear {
-            program.lin_r -= rate * program.total_r;
-            program.lin_a -= rate * program.total_a;
+        // Linear internal cost collapses too; a nonlinear one prices
+        // against the baseline total, read once here instead of per
+        // grid point.
+        match program.internal_linear {
+            Some(rate) => {
+                program.lin_r -= rate * program.total_r;
+                program.lin_a -= rate * program.total_a;
+            }
+            None => program.base_total = ctx.total(node),
         }
     }
 
@@ -871,7 +994,7 @@ pub fn evaluate_candidate(
                     u += price.price(f + program.end_host_a * a)? - price.price(f)?;
                 }
                 if program.internal_linear.is_none() {
-                    let total = ctx.totals[program.node as usize];
+                    let total = program.base_total;
                     let delta = program.total_r * r + program.total_a * a;
                     let cost = ctx.econ.internal_cost(program.node);
                     u -= cost.eval((total + delta).max(0.0))? - cost.eval(total)?;
@@ -1385,10 +1508,12 @@ pub fn evaluate_candidate_with(
 
     // Per-party scalar folds: linear end-host revenue and linear
     // internal cost collapse into the coefficients; nonlinear ones are
-    // evaluated per grid point below.
+    // evaluated per grid point below, against the baseline total read
+    // here once.
     let parties = [x, y];
     let mut end_host_linear = [None, None];
     let mut internal_linear = [None, None];
+    let mut base_total = [0.0f64; 2];
     for i in 0..2 {
         let node = parties[i];
         end_host_linear[i] = ctx.econ.end_host_price(node).linear_rate();
@@ -1398,9 +1523,12 @@ pub fn evaluate_candidate_with(
                 lin[i].1 += rate * own[i].end_host_gain;
             }
         }
-        if let Some(rate) = internal_linear[i] {
-            lin[i].0 -= rate * total[i].0;
-            lin[i].1 -= rate * total[i].1;
+        match internal_linear[i] {
+            Some(rate) => {
+                lin[i].0 -= rate * total[i].0;
+                lin[i].1 -= rate * total[i].1;
+            }
+            None => base_total[i] = ctx.total(node),
         }
     }
 
@@ -1429,7 +1557,7 @@ pub fn evaluate_candidate_with(
                     u += price.price(f + own[i].end_host_gain * a)? - price.price(f)?;
                 }
                 if internal_linear[i].is_none() {
-                    let base = ctx.totals[node as usize];
+                    let base = base_total[i];
                     let delta = total[i].0 * r + total[i].1 * a;
                     let cost = ctx.econ.internal_cost(node);
                     u -= cost.eval((base + delta).max(0.0))? - cost.eval(base)?;
@@ -2373,5 +2501,125 @@ pub(crate) mod tests {
         .unwrap();
         let second = evaluate_candidate(&ctx, &mut scratch, pair, 0.6, 0.3, 5).unwrap();
         assert_eq!(first, second);
+    }
+
+    /// One generated outcome for the ranked-scan equivalence: surplus
+    /// on a coarse grid of levels (ties, and values exactly at the
+    /// threshold), few ASNs (busy-party collisions), an optional cash
+    /// optimum independent of the surplus, and a flag (carried in
+    /// `peering_hops`) marking outcomes whose adoption-time refresh
+    /// fails, so their parties stay free.
+    fn scan_outcome(level: u8, x: u32, y: u32, cash: bool, refresh_fails: bool) -> PairOutcome {
+        let surplus = f64::from(level) * 0.5;
+        PairOutcome {
+            x: Asn::new(x),
+            y: Asn::new(y),
+            peering_hops: if refresh_fails { 2 } else { 1 },
+            shares: (0.5, 0.2),
+            segments: (1, 1),
+            flow_volume: None,
+            cash: cash.then_some(CashPoint {
+                reroute: 1.0,
+                attract: 0.0,
+                joint_utility: surplus,
+                transfer_x_to_y: 0.0,
+            }),
+            surplus,
+        }
+    }
+
+    /// The evolution round's party-disjoint adoption loop over a ranked
+    /// sequence of outcomes: up to `adopt_top` adoptions, busy parties
+    /// skipped, failed refreshes leaving their parties free.
+    fn adopt_from<'a>(
+        ranked: impl Iterator<Item = &'a PairOutcome>,
+        adopt_top: usize,
+    ) -> Vec<PairOutcome> {
+        let mut busy = std::collections::HashSet::new();
+        let mut adopted = Vec::new();
+        let mut ranked = ranked;
+        while adopted.len() < adopt_top {
+            let Some(outcome) = ranked.next() else {
+                break;
+            };
+            if busy.contains(&outcome.x) || busy.contains(&outcome.y) {
+                continue;
+            }
+            if outcome.peering_hops == 2 {
+                continue;
+            }
+            busy.insert(outcome.x);
+            busy.insert(outcome.y);
+            adopted.push(outcome.clone());
+        }
+        adopted
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The chunked key ranking reads exactly the report ranking's
+        /// scan prefix, and an adoption loop over it adopts exactly
+        /// what the same loop over the fully sorted report adopts —
+        /// for tied surpluses, cash-less outcomes, surpluses at the
+        /// threshold, any `adopt_top`, and first chunks small enough
+        /// that busy-party skips force it to widen.
+        #[test]
+        fn ranked_scan_matches_the_sorted_report_scan(
+            raw in prop::collection::vec((0u8..6, 1u32..6, 1u32..6, 0u8..4, 0u8..5), 0..60),
+            threshold in 0u8..4,
+            adopt_top in 0usize..12,
+            first_chunk in 0usize..5,
+        ) {
+            let outcomes: Vec<PairOutcome> = raw
+                .iter()
+                .map(|&(level, x, y, cash, fails)| scan_outcome(level, x, y, cash > 0, fails == 0))
+                .collect();
+            let min_surplus = f64::from(threshold) * 0.5;
+            let report = DiscoveryReport::from_outcomes(outcomes.clone(), 0);
+            let prefix: Vec<&PairOutcome> = report
+                .outcomes
+                .iter()
+                .take_while(|o| o.cash.is_some() && o.surplus > min_surplus)
+                .collect();
+
+            let mut keys = Vec::new();
+            let scanned: Vec<&PairOutcome> =
+                ranked_scan(&outcomes, min_surplus, &mut keys, first_chunk)
+                    .map(|index| &outcomes[index])
+                    .collect();
+            prop_assert_eq!(&scanned, &prefix);
+
+            let expected = adopt_from(prefix.iter().copied(), adopt_top);
+            let adopted = adopt_from(
+                ranked_scan(&outcomes, min_surplus, &mut keys, first_chunk)
+                    .map(|index| &outcomes[index]),
+                adopt_top,
+            );
+            prop_assert_eq!(adopted, expected);
+        }
+    }
+
+    #[test]
+    fn ranked_scan_widens_past_busy_hubs() {
+        // One hub on the eight best pairs: a first chunk of two is used
+        // up by hub pairs after the first adoption, so reaching the
+        // second adoption takes two widenings.
+        let mut outcomes: Vec<PairOutcome> = (0..8)
+            .map(|i| scan_outcome(20 - i as u8, 1, 10 + i, true, false))
+            .collect();
+        outcomes.push(scan_outcome(3, 30, 31, true, false));
+        outcomes.push(scan_outcome(0, 40, 41, false, false));
+        let mut keys = Vec::new();
+        let adopted = adopt_from(
+            ranked_scan(&outcomes, 0.0, &mut keys, 2).map(|index| &outcomes[index]),
+            2,
+        );
+        assert_eq!(adopted.len(), 2);
+        assert_eq!((adopted[0].x, adopted[0].y), (Asn::new(1), Asn::new(10)));
+        assert_eq!((adopted[1].x, adopted[1].y), (Asn::new(30), Asn::new(31)));
+        assert_eq!(keys.len(), 9, "only outcomes above the threshold are keyed");
     }
 }

@@ -110,8 +110,8 @@ use pan_topology::{AsGraph, Asn, NeighborKind};
 
 use crate::discovery::{
     collect_targets, derive_pair_transit, enumerate_candidates_for, evaluate_candidate,
-    evaluate_candidate_with, BatchContext, CandidatePair, DiscoveryConfig, DiscoveryReport,
-    NodePrograms, PairOutcome, PairScratch, PairTransit, CANDIDATE_TILE,
+    evaluate_candidate_with, ranked_scan, tally, BatchContext, CandidatePair, DiscoveryConfig,
+    DiscoveryReport, NodePrograms, PairOutcome, PairScratch, PairTransit, CANDIDATE_TILE,
 };
 use crate::incremental::{ensure, refresh_enumeration, EnumerationCache, IncrementalState};
 use crate::{AgreementError, Result};
@@ -180,8 +180,6 @@ pub struct MarketState {
 struct AdoptScratch {
     /// Evaluator scratch for the adoption-time re-evaluation.
     eval: PairScratch,
-    /// Per-AS flow totals buffer lent to [`BatchContext`].
-    totals: Vec<f64>,
     /// `(node, packed position, delta)` staging of `materialize`.
     deltas: Vec<(u32, usize, f64)>,
     /// Grant-target positions buffer of `materialize`.
@@ -193,7 +191,6 @@ impl AdoptScratch {
     fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
         self.eval.resident_bytes()
-            + self.totals.capacity() * size_of::<f64>()
             + self.deltas.capacity() * size_of::<(u32, usize, f64)>()
             + self.targets.capacity() * size_of::<u32>()
     }
@@ -488,28 +485,24 @@ impl MarketState {
         }
         // Re-evaluate against the current tables: adoptions earlier in
         // the round may have consumed this pair's opportunity. The
-        // context borrows the scratch totals buffer (returned below) and
-        // the evaluator its scratch, so repeated adoptions allocate
-        // nothing here.
+        // context sums flow totals only if a party's internal cost is
+        // nonlinear, and the evaluator reuses its scratch, so repeated
+        // adoptions on a linear-cost market allocate nothing here.
         let fresh = {
-            let totals = std::mem::take(&mut self.adopt_scratch.totals);
-            let ctx =
-                BatchContext::with_totals_buffer(&self.graph, &self.econ, &self.flows, totals)?;
+            let ctx = BatchContext::new(&self.graph, &self.econ, &self.flows)?;
             let pair = CandidatePair {
                 x,
                 y,
                 peering_hops: outcome.peering_hops,
             };
-            let evaluated = evaluate_candidate(
+            evaluate_candidate(
                 &ctx,
                 &mut self.adopt_scratch.eval,
                 pair,
                 outcome.shares.0,
                 outcome.shares.1,
                 grid,
-            );
-            self.adopt_scratch.totals = ctx.into_totals_buffer();
-            evaluated?
+            )?
         };
         let Some(cash) = fresh.cash else {
             return Ok(None);
@@ -1066,6 +1059,11 @@ pub(crate) struct FullEngineCache {
     filtered: Vec<u32>,
     /// Round scratch: filtered indices whose transit slot is empty.
     missing: Vec<u32>,
+    /// Ranked outcomes the previous round's adoption scan read — the
+    /// size of this round's first ranked chunk. Rounds of one market
+    /// scan to similar depths, so one selection usually covers the
+    /// whole scan; the size never changes what is adopted.
+    scan_depth: usize,
     /// Times the transit table was (re)built cold, including the first.
     pub(crate) rebuilds: usize,
     /// Rounds served with at least a partially warm table.
@@ -1115,6 +1113,7 @@ fn ensure_full<'a>(
             transit: vec![None; pairs.len()],
             filtered: carried.filtered,
             missing: carried.missing,
+            scan_depth: carried.scan_depth,
             rebuilds: carried.rebuilds + 1,
             reuses: carried.reuses,
         });
@@ -1345,10 +1344,24 @@ impl EvolutionDriver {
     }
 }
 
+/// Keys a cold adoption scan ranks up front per agreement it may
+/// adopt. Warm rounds size their first chunk from the previous round's
+/// scan depth instead (see `FullEngineCache::scan_depth`): on the 10k-AS
+/// markets party-disjointness skips so many hub pairs that a 25-adoption
+/// scan reads 13k-25k outcomes.
+const RANK_CHUNK_PER_ADOPTION: usize = 4;
+
 /// The reference engine: evaluate every non-adopted candidate from
 /// scratch, rank, and run the party-disjoint adoption scan. The
 /// incremental engine replicates this function's observable behavior
 /// bit for bit (see the [module docs](self)).
+///
+/// The round never assembles a sorted [`DiscoveryReport`]: its
+/// aggregates are summed in filtered enumeration order (the report's
+/// own [`tally`]), and the adoption scan reads the outcomes through
+/// [`ranked_scan`], which ranks compact keys of the outcomes above
+/// `min_surplus` a chunk at a time — the order a fully sorted report
+/// would give, for only as many outcomes as the scan reaches.
 fn full_round(
     state: &mut MarketState,
     config: &EvolutionConfig,
@@ -1364,17 +1377,20 @@ fn full_round(
     // assigned by filtered position, so the jittered path draws exactly
     // what the old filtered-list sweep drew.
     let mut filtered = std::mem::take(&mut cache.filtered);
-    filtered.clear();
-    filtered.extend(
-        pairs
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| !state.is_adopted(p.x, p.y))
-            .map(|(index, _)| index as u32),
-    );
-    let discovered = {
+    {
+        let _span = pan_telemetry::histogram("core.phase.enumerate_ns").start();
+        filtered.clear();
+        filtered.extend(
+            pairs
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| !state.is_adopted(p.x, p.y))
+                .map(|(index, _)| index as u32),
+        );
+    }
+    let evaluated = {
         let ctx = BatchContext::new(&state.graph, &state.econ, &state.flows)?;
-        let evaluated = if config.discovery.noise == 0.0 {
+        if config.discovery.noise == 0.0 {
             // Noise-free sweeps evaluate through the shared per-node
             // collapse — one row walk per node per round instead of one
             // per candidate, and the exact path the incremental engine
@@ -1383,11 +1399,14 @@ fn full_round(
             // flow-independent, so they live in the driver's cache
             // across rounds; only the slots emptied by a key change are
             // (re)derived here, in parallel.
-            let programs = NodePrograms::build(
-                &ctx,
-                config.discovery.reroute_share,
-                config.discovery.attract_share,
-            )?;
+            let programs = {
+                let _span = pan_telemetry::histogram("core.phase.programs_ns").start();
+                NodePrograms::build(
+                    &ctx,
+                    config.discovery.reroute_share,
+                    config.discovery.attract_share,
+                )?
+            };
             let mut missing = std::mem::take(&mut cache.missing);
             missing.clear();
             missing.extend(
@@ -1446,56 +1465,75 @@ fn full_round(
                     )
                 },
             )
-        };
-        let mut outcomes = Vec::with_capacity(evaluated.len());
-        for outcome in evaluated {
-            outcomes.push(outcome?);
         }
-        DiscoveryReport::from_outcomes(outcomes, 0)
     };
     cache.filtered = filtered;
 
-    // 2. Adopt the best adoptable outcomes, best-first, with
+    // 2. Rank: the round's aggregates in filtered enumeration order, and
+    // the first chunk of the adoption ranking. The first error in
+    // enumeration order fails the round, as before.
+    let rank_span = pan_telemetry::histogram("core.phase.rank_ns").start();
+    let outcomes = evaluated
+        .into_iter()
+        .collect::<Result<Vec<PairOutcome>>>()?;
+    let (concluded_flow_volume, concluded_cash, discovered_surplus) = tally(outcomes.iter());
+    let first_chunk = config
+        .adopt_top
+        .saturating_mul(RANK_CHUNK_PER_ADOPTION)
+        .max(cache.scan_depth + cache.scan_depth / 4);
+    // Per round rather than kept in the cache: the keys are dead once
+    // the scan ends, and kept they would sit on top of the next round's
+    // evaluation, where a market's memory peaks.
+    let mut keys = Vec::new();
+    let mut ranked = ranked_scan(&outcomes, config.min_surplus, &mut keys, first_chunk);
+    drop(rank_span);
+
+    // 3. Adopt the best adoptable outcomes, best-first, with
     // **disjoint parties**: an AS negotiates at most one agreement
     // per round. This keeps a hub from compounding its attraction
     // within a round and makes the round's adoptions (nearly)
-    // independent of adoption order. Outcomes are ranked by surplus,
-    // so the first one below the threshold ends the scan.
+    // independent of adoption order. The ranked scan ends at the first
+    // outcome below the threshold.
     let _adopt_span = pan_telemetry::histogram("core.phase.adopt_ns").start();
-    let mut busy: HashSet<u32> = HashSet::new();
+    let mut busy = vec![false; state.graph.node_count()];
     let mut agreements = Vec::new();
     let mut adopted_surplus = 0.0;
     let mut new_links = 0usize;
-    for outcome in &discovered.outcomes {
-        if agreements.len() >= config.adopt_top {
+    let mut scanned = 0usize;
+    while agreements.len() < config.adopt_top {
+        let Some(index) = ranked.next() else {
             break;
-        }
-        if outcome.cash.is_none() || outcome.surplus <= config.min_surplus {
-            break;
-        }
-        let (i, j) = (
-            state.graph.index_of(outcome.x)?,
-            state.graph.index_of(outcome.y)?,
-        );
-        if busy.contains(&i) || busy.contains(&j) {
+        };
+        scanned += 1;
+        // Outcome `index` evaluated filtered candidate `index`; adoption
+        // keeps node indices stable, so its parties are the pair's.
+        let pair = pairs[cache.filtered[index] as usize];
+        let (i, j) = (pair.x as usize, pair.y as usize);
+        if busy[i] || busy[j] {
             continue;
         }
+        let outcome = &outcomes[index];
+        debug_assert_eq!(
+            (state.graph.asn_at(pair.x), state.graph.asn_at(pair.y)),
+            (outcome.x, outcome.y)
+        );
         if let Some(agreement) =
             state.adopt_outcome(outcome, config.discovery.grid, config.min_surplus, round)?
         {
-            busy.insert(i);
-            busy.insert(j);
+            busy[i] = true;
+            busy[j] = true;
             adopted_surplus += agreement.joint_utility;
             new_links += usize::from(agreement.new_link);
             agreements.push(agreement);
         }
     }
+    cache.scan_depth = scanned;
 
     Ok(RoundScan {
-        candidates: discovered.candidates,
-        concluded_flow_volume: discovered.concluded_flow_volume,
-        concluded_cash: discovered.concluded_cash,
-        discovered_surplus: discovered.total_surplus,
+        candidates: outcomes.len(),
+        concluded_flow_volume,
+        concluded_cash,
+        discovered_surplus,
         agreements,
         adopted_surplus,
         new_links,

@@ -11,10 +11,14 @@
 use pan_datasets::{InternetConfig, SyntheticInternet};
 use pan_econ::{CostFunction, DenseEconomics, FlowMatrix, PricingFunction};
 
+use pan_runtime::{ScenarioSweep, ThreadPool};
+
 use crate::discovery::{
-    derive_pair_transit, enumerate_candidates, evaluate_candidate, evaluate_candidate_with,
-    BatchContext, CandidatePolicy, NodePrograms, PairOutcome, PairScratch,
+    derive_pair_transit, discover, enumerate_candidates, evaluate_candidate,
+    evaluate_candidate_with, BatchContext, CandidatePolicy, DiscoveryConfig, NodePrograms,
+    PairOutcome, PairScratch,
 };
+use crate::dynamics::{advise, MarketState};
 
 /// FNV-1a over a stream of u64 words — stable, dependency-free digest.
 fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -71,6 +75,12 @@ fn outcome_words(o: &PairOutcome) -> Vec<u64> {
 /// nonlinear end-host prices and internal costs on a second salt — so
 /// the goldens cover every dispatch class the SoA split handles.
 fn mixed_fixture() -> (SyntheticInternet, DenseEconomics, FlowMatrix) {
+    fixture(true)
+}
+
+/// The golden market, with its salted power-law internal costs or, for
+/// `power_law_costs == false`, linear internal costs everywhere.
+fn fixture(power_law_costs: bool) -> (SyntheticInternet, DenseEconomics, FlowMatrix) {
     let net = SyntheticInternet::generate(
         &InternetConfig {
             num_ases: 260,
@@ -98,7 +108,7 @@ fn mixed_fixture() -> (SyntheticInternet, DenseEconomics, FlowMatrix) {
             }
         },
         |asn| {
-            if asn.get() % 13 == 0 {
+            if power_law_costs && asn.get() % 13 == 0 {
                 CostFunction::power_law(0.01, 1.4).unwrap()
             } else {
                 CostFunction::linear(0.02 + f64::from(asn.get() % 5) * 0.01).unwrap()
@@ -159,4 +169,84 @@ fn programmed_evaluator_matches_pre_soa_golden() {
         digest, GOLDEN_PROGRAMMED,
         "programmed evaluator drifted from the pre-SoA golden: 0x{digest:016x}"
     );
+}
+
+/// Every sweep the engines run over one context: the per-pair
+/// evaluator through [`discover`], and the programmed evaluator over
+/// every candidate.
+fn sweep_all(ctx: &BatchContext<'_>, net: &SyntheticInternet) {
+    let sweep = ScenarioSweep::new(ThreadPool::new(2), 5);
+    let config = DiscoveryConfig {
+        grid: 4,
+        ..DiscoveryConfig::default()
+    };
+    discover(ctx, &config, &sweep).unwrap();
+    let programs = NodePrograms::build(ctx, 0.5, 0.2).unwrap();
+    let mut scratch = PairScratch::new();
+    for pair in enumerate_candidates(&net.graph, CandidatePolicy::PeeringAdjacent) {
+        let transit = derive_pair_transit(ctx, pair);
+        evaluate_candidate_with(ctx, &programs, &transit, &mut scratch, pair, 4).unwrap();
+    }
+}
+
+#[test]
+fn linear_cost_sweeps_never_sum_the_flow_totals() {
+    let (net, econ, flows) = fixture(false);
+    let ctx = BatchContext::new(&net.graph, &econ, &flows).unwrap();
+    sweep_all(&ctx, &net);
+    assert!(
+        !ctx.totals_filled(),
+        "a market without nonlinear internal costs read the flow totals"
+    );
+    // The same sweeps on the power-law market do read them.
+    let (net, econ, flows) = mixed_fixture();
+    let ctx = BatchContext::new(&net.graph, &econ, &flows).unwrap();
+    sweep_all(&ctx, &net);
+    assert!(ctx.totals_filled());
+}
+
+#[test]
+fn lazy_totals_are_the_per_row_sums() {
+    let (net, econ, flows) = mixed_fixture();
+    let ctx = BatchContext::new(&net.graph, &econ, &flows).unwrap();
+    for node in 0..net.graph.node_count() as u32 {
+        assert_eq!(ctx.total(node).to_bits(), flows.total(node).to_bits());
+    }
+}
+
+#[test]
+fn advise_on_the_power_law_market_is_thread_count_independent() {
+    let (net, econ, flows) = mixed_fixture();
+    let state = MarketState::new(net.graph.clone(), econ, flows).unwrap();
+    let config = DiscoveryConfig {
+        grid: 4,
+        ..DiscoveryConfig::default()
+    };
+    let (one, four) = (ThreadPool::new(1), ThreadPool::new(4));
+    let mut power_law_parties = 0usize;
+    let mut concluded = 0usize;
+    for node in (0..net.graph.node_count() as u32).step_by(7) {
+        let asn = net.graph.asn_at(node);
+        let at_one = advise(&state, &config, asn, 0, &one).unwrap();
+        let at_four = advise(&state, &config, asn, 0, &four).unwrap();
+        assert_eq!(
+            at_one, at_four,
+            "advise for {asn} depends on the thread count"
+        );
+        assert_eq!(
+            at_one.total_surplus.to_bits(),
+            at_four.total_surplus.to_bits()
+        );
+        power_law_parties += at_one
+            .outcomes
+            .iter()
+            .filter(|o| o.x.get() % 13 == 0 || o.y.get() % 13 == 0)
+            .count();
+        concluded += at_one.concluded_cash;
+    }
+    assert!(
+        power_law_parties > 0,
+        "no advised pair has a power-law party"
+    );
+    assert!(concluded > 0, "no advised pair concludes");
 }

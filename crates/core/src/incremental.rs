@@ -42,8 +42,8 @@
 //! - **Aggregates are re-summed in enumeration order.** The round's
 //!   `discovered_surplus` is an f64 sum whose value depends on summation
 //!   order; it is recomputed over the cached outcomes in filtered
-//!   enumeration order — the order the full engine sums in — never
-//!   incrementally updated with deltas.
+//!   enumeration order, through the full engine's summation
+//!   (`discovery::tally`), never incrementally updated with deltas.
 //! - **The below-threshold pop ends the scan.** The full engine stops
 //!   its adoption scan at the first outcome that is non-viable or below
 //!   `min_surplus`; everything the heap still holds ranks at or below
@@ -70,9 +70,9 @@ use pan_runtime::ScenarioSweep;
 use pan_topology::Asn;
 
 use crate::discovery::{
-    derive_pair_transit, enumerate_candidates, evaluate_candidate_with, BatchContext,
-    CandidatePair, CandidatePolicy, NodePrograms, PairOutcome, PairScratch, PairTransit,
-    CANDIDATE_TILE,
+    derive_pair_transit, enumerate_candidates, evaluate_candidate_with, rank_cmp, tally,
+    BatchContext, CandidatePair, CandidatePolicy, NodePrograms, PairOutcome, PairScratch,
+    PairTransit, CANDIDATE_TILE,
 };
 use crate::dynamics::{EvolutionConfig, MarketState, RoundScan};
 use crate::Result;
@@ -161,17 +161,18 @@ impl HeapEntry {
 impl Eq for HeapEntry {}
 
 impl Ord for HeapEntry {
-    /// Max-heap priority mirroring the
-    /// [`DiscoveryReport::from_outcomes`](crate::DiscoveryReport::from_outcomes)
-    /// ranking: higher surplus first ([`f64::total_cmp`]), then the
-    /// smaller `(x, y)` ASN pair. The generation tie-break only orders
-    /// superseded duplicates of the same slot (skipped on pop anyway)
-    /// so the order is total.
+    /// Max-heap priority: the reverse of
+    /// [`rank_cmp`](crate::discovery::rank_cmp), the report ranking
+    /// (higher surplus first under [`f64::total_cmp`], then the smaller
+    /// `(x, y)` ASN pair), so the best-ranked entry pops first. The
+    /// generation tie-break only orders superseded duplicates of the
+    /// same slot (skipped on pop anyway) so the order is total.
     fn cmp(&self, other: &Self) -> Ordering {
-        self.surplus
-            .total_cmp(&other.surplus)
-            .then_with(|| (other.x, other.y).cmp(&(self.x, self.y)))
-            .then_with(|| self.generation.cmp(&other.generation))
+        rank_cmp(
+            (other.surplus, other.x, other.y),
+            (self.surplus, self.x, self.y),
+        )
+        .then_with(|| self.generation.cmp(&other.generation))
     }
 }
 
@@ -318,8 +319,10 @@ impl IncrementalState {
             Vec::new()
         } else {
             let ctx = BatchContext::new(state.graph(), state.econ(), state.flows())?;
-            let programs =
-                NodePrograms::build(&ctx, discovery.reroute_share, discovery.attract_share)?;
+            let programs = {
+                let _span = pan_telemetry::histogram("core.phase.programs_ns").start();
+                NodePrograms::build(&ctx, discovery.reroute_share, discovery.attract_share)?
+            };
             {
                 let _span = pan_telemetry::histogram("core.phase.derive_transit_ns").start();
                 for &index in &stale {
@@ -380,20 +383,16 @@ impl IncrementalState {
         }
 
         // 5. Round aggregates, re-summed over the cached outcomes in
-        // filtered enumeration order — the exact f64 summation order of
-        // the full engine's report assembly.
-        let mut concluded_flow_volume = 0usize;
-        let mut concluded_cash = 0usize;
-        let mut discovered_surplus = 0.0f64;
-        for &index in &filtered {
-            let outcome = self.slots[index as usize]
-                .outcome
-                .as_ref()
-                .expect("every filtered slot was evaluated");
-            concluded_flow_volume += usize::from(outcome.flow_volume.is_some());
-            concluded_cash += usize::from(outcome.cash.is_some());
-            discovered_surplus += outcome.surplus;
-        }
+        // filtered enumeration order through the full engine's own
+        // `tally` — the exact f64 summation of its rounds.
+        let slots = &self.slots;
+        let (concluded_flow_volume, concluded_cash, discovered_surplus) =
+            tally(filtered.iter().map(|&index| {
+                slots[index as usize]
+                    .outcome
+                    .as_ref()
+                    .expect("every filtered slot was evaluated")
+            }));
 
         // 6. Adoption scan: drain the heap best-first, mirroring the
         // full engine's sorted scan (see the module docs for why each

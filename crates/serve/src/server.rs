@@ -44,6 +44,9 @@
 //! ([`std::thread::yield_now`]) for a bounded number of iterations —
 //! keeping request-to-request latency in the microseconds for
 //! interactive bursts — and only then falls back to millisecond sleeps.
+//! Accepted sockets set `TCP_NODELAY`: every reply is one complete
+//! line, so holding it back for coalescing (Nagle's algorithm) only
+//! adds the client's delayed-ACK time to its latency.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -449,6 +452,11 @@ impl MarketServer {
                 match self.listener.accept() {
                     Ok((stream, peer)) => {
                         stream.set_nonblocking(true)?;
+                        // Replies are small and complete: send each at
+                        // once instead of holding it back (Nagle) until
+                        // the client acknowledges the previous one. Best
+                        // effort — a socket without it still works.
+                        let _ = stream.set_nodelay(true);
                         eprintln!("# client connected: {peer}");
                         clients.push(Client {
                             stream,
