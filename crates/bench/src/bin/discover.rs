@@ -28,7 +28,7 @@ use serde::Serialize;
 
 use pan_bench::{
     at_market_scale, discovery_config, market_tables, print_header, CountingAllocator,
-    MemoryReport, ReportSink, ScenarioSpec,
+    MemoryReport, ReportSink, ScenarioSpec, UsageError,
 };
 use pan_core::discovery::{
     discover, enumerate_candidates, evaluate_candidate_legacy, BatchContext, DiscoveryReport,
@@ -83,6 +83,14 @@ fn print_report(report: &DiscoveryReport, engine: &str) {
     }
 }
 
+/// The flags `discover` adds to the shared ones, for its usage line.
+const OWN_FLAGS: &str = "--engine <dense|legacy>, --limit <N>, --bench-out <path>";
+
+/// Exits with `message` and the usage (code 2).
+fn malformed(message: String) -> ! {
+    UsageError::Malformed(message).exit(OWN_FLAGS)
+}
+
 fn main() {
     let (spec, mut rest) = ScenarioSpec::from_args(std::env::args());
     let sink = ReportSink::from_spec(&spec, &mut rest);
@@ -93,7 +101,7 @@ fn main() {
     while let Some(arg) = rest.next() {
         let mut value = |flag: &str| {
             rest.next()
-                .unwrap_or_else(|| panic!("{flag} requires a value"))
+                .unwrap_or_else(|| malformed(format!("{flag} requires a value")))
         };
         match arg.as_str() {
             "--engine" => engine = value("--engine"),
@@ -101,19 +109,15 @@ fn main() {
                 let raw = value("--limit");
                 limit = raw
                     .parse()
-                    .unwrap_or_else(|_| panic!("--limit expects a count, got {raw:?}"));
+                    .unwrap_or_else(|_| malformed(format!("--limit expects a count, got {raw:?}")));
             }
             _ => extras.push(arg),
         }
     }
-    ScenarioSpec::expect_no_extras_for(
-        &extras,
-        "--engine <dense|legacy>, --limit <N>, --bench-out <path>",
-    );
-    assert!(
-        engine == "dense" || engine == "legacy",
-        "--engine must be dense or legacy, got {engine:?}"
-    );
+    ScenarioSpec::expect_no_extras_for(&extras, OWN_FLAGS);
+    if engine != "dense" && engine != "legacy" {
+        malformed(format!("--engine must be dense or legacy, got {engine:?}"));
+    }
     // The discovery workload is internet-scale by definition; even
     // --quick sweeps a full 10k-AS topology (with a coarser grid).
     let spec = at_market_scale(spec);

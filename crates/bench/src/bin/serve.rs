@@ -21,8 +21,6 @@
 //! `{"caida": <dir>, "snapshot": <name>}`). Plus:
 //!
 //! - `--addr <host:port>`: listen address (default `127.0.0.1:4780`);
-//! - `--engine <full|incremental>`: discovery engine resident markets
-//!   step with (default `full`; replies are byte-identical either way);
 //! - `--max-markets <n>`: session-table cap — further `load`s answer
 //!   the `market_limit` error code (default 8);
 //! - `--slow-ms <ms>`: only stderr-log requests at least this slow
@@ -40,7 +38,7 @@ use std::time::{Duration, Instant};
 
 use serde::{Serialize, Value};
 
-use pan_bench::{load_market_request, MetricsSink, ReportSink, ScenarioSpec};
+use pan_bench::{load_market_request, MetricsSink, ReportSink, ScenarioSpec, UsageError};
 use pan_serve::{LoadedMarket, MarketServer};
 
 #[derive(Debug, Serialize)]
@@ -51,64 +49,56 @@ struct BenchRecord {
     requests: usize,
 }
 
+/// The flags `serve` adds to the shared ones, for its usage line.
+const OWN_FLAGS: &str = "--addr <host:port>, --max-markets <n>, --slow-ms <ms>, \
+    --bench-out <path>, --metrics-out <path>";
+
+/// Exits with `message` and the usage (code 2).
+fn malformed(message: String) -> ! {
+    UsageError::Malformed(message).exit(OWN_FLAGS)
+}
+
 fn main() {
     let (spec, mut rest) = ScenarioSpec::from_args(std::env::args());
     let sink = ReportSink::from_spec(&spec, &mut rest);
     let metrics = MetricsSink::from_args(&mut rest);
     let mut addr = "127.0.0.1:4780".to_owned();
-    let mut engine = pan_core::Engine::Full;
     let mut max_markets = pan_serve::DEFAULT_MAX_MARKETS;
     let mut slow_ms = 1.0f64;
     let mut extras = Vec::new();
     let mut rest = rest.into_iter();
     while let Some(arg) = rest.next() {
+        let mut value = |flag: &str| {
+            rest.next()
+                .unwrap_or_else(|| malformed(format!("{flag} requires a value")))
+        };
         match arg.as_str() {
-            "--addr" => {
-                addr = rest
-                    .next()
-                    .unwrap_or_else(|| panic!("--addr requires a value"));
-            }
-            "--engine" => {
-                let value = rest
-                    .next()
-                    .unwrap_or_else(|| panic!("--engine requires a value: full, incremental"));
-                engine = value.parse().unwrap_or_else(|e| panic!("{e}"));
-            }
+            "--addr" => addr = value("--addr"),
             "--max-markets" => {
-                let value = rest
-                    .next()
-                    .unwrap_or_else(|| panic!("--max-markets requires a value"));
-                max_markets = value
+                max_markets = value("--max-markets")
                     .parse()
-                    .unwrap_or_else(|e| panic!("--max-markets: {e}"));
+                    .unwrap_or_else(|e| malformed(format!("--max-markets: {e}")));
             }
             "--slow-ms" => {
-                let value = rest
-                    .next()
-                    .unwrap_or_else(|| panic!("--slow-ms requires a value"));
-                slow_ms = value.parse().unwrap_or_else(|e| panic!("--slow-ms: {e}"));
-                assert!(
-                    slow_ms >= 0.0 && slow_ms.is_finite(),
-                    "--slow-ms must be a non-negative number of milliseconds"
-                );
+                slow_ms = value("--slow-ms")
+                    .parse()
+                    .unwrap_or_else(|e| malformed(format!("--slow-ms: {e}")));
+                if !(slow_ms >= 0.0 && slow_ms.is_finite()) {
+                    malformed("--slow-ms must be a non-negative number of milliseconds".into());
+                }
             }
             _ => extras.push(arg),
         }
     }
-    ScenarioSpec::expect_no_extras_for(
-        &extras,
-        "--addr <host:port>, --engine <full|incremental>, --max-markets <n>, \
-         --slow-ms <ms>, --bench-out <path>, --metrics-out <path>",
-    );
+    ScenarioSpec::expect_no_extras_for(&extras, OWN_FLAGS);
 
     let server = MarketServer::bind(&addr, spec.threads)
         .unwrap_or_else(|e| panic!("cannot bind {addr:?}: {e}"))
-        .with_engine(engine)
         .with_max_markets(max_markets)
         .with_slow_log(Duration::from_secs_f64(slow_ms / 1e3));
     let local = server.local_addr().expect("bound sockets have an address");
     eprintln!(
-        "# serving on {local} at {} threads, {engine} engine, up to {max_markets} markets \
+        "# serving on {local} at {} threads, up to {max_markets} markets \
          (base spec: seed {}, quick {})",
         spec.threads, spec.seed, spec.quick
     );

@@ -315,18 +315,15 @@ pub struct ReportSink {
 impl ReportSink {
     /// Couples the spec's `--json` flag with a `--bench-out <path>` flag
     /// extracted (and removed) from the binary-specific leftover
-    /// arguments.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `--bench-out` is given without a value.
+    /// arguments. `--bench-out` without a value exits through
+    /// [`UsageError::exit`] with code 2.
     #[must_use]
     pub fn from_spec(spec: &ScenarioSpec, rest: &mut Vec<String>) -> ReportSink {
         let mut bench_out = None;
         if let Some(at) = rest.iter().position(|arg| arg == "--bench-out") {
             rest.remove(at);
             if at >= rest.len() {
-                panic!("--bench-out requires a value");
+                UsageError::Malformed("--bench-out requires a value".to_owned()).exit("");
             }
             bench_out = Some(rest.remove(at));
         }
@@ -388,18 +385,15 @@ pub struct MetricsSink {
 impl MetricsSink {
     /// Extracts (and removes) `--metrics-out <path>` from the
     /// binary-specific leftover arguments, enabling the global
-    /// telemetry registry when present.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `--metrics-out` is given without a value.
+    /// telemetry registry when present. `--metrics-out` without a value
+    /// exits through [`UsageError::exit`] with code 2.
     #[must_use]
     pub fn from_args(rest: &mut Vec<String>) -> MetricsSink {
         let mut metrics_out = None;
         if let Some(at) = rest.iter().position(|arg| arg == "--metrics-out") {
             rest.remove(at);
             if at >= rest.len() {
-                panic!("--metrics-out requires a value");
+                UsageError::Malformed("--metrics-out requires a value".to_owned()).exit("");
             }
             metrics_out = Some(rest.remove(at));
         }

@@ -141,13 +141,17 @@ pub enum UsageError {
     Help,
     /// These arguments matched no flag.
     Unknown(Vec<String>),
+    /// A flag's value is missing or does not parse; the message names
+    /// the flag.
+    Malformed(String),
 }
 
 impl UsageError {
     /// Prints the usage of the running binary and exits: to stdout with
     /// code 0 for [`Help`](Self::Help), to stderr after the unknown
-    /// arguments with code 2 otherwise. `own_flags` lists the flags the
-    /// binary adds to the shared ones (empty when it adds none).
+    /// arguments or the malformed value's message with code 2 otherwise.
+    /// `own_flags` lists the flags the binary adds to the shared ones
+    /// (empty when it adds none).
     pub fn exit(&self, own_flags: &str) -> ! {
         let program = std::env::args()
             .next()
@@ -170,6 +174,10 @@ impl UsageError {
                 eprintln!("error: unknown flags {args:?}\n{usage}");
                 std::process::exit(2);
             }
+            UsageError::Malformed(message) => {
+                eprintln!("error: {message}\n{usage}");
+                std::process::exit(2);
+            }
         }
     }
 }
@@ -190,13 +198,35 @@ impl ScenarioSpec {
     /// and figure binaries cannot drift apart. Unrecognized arguments
     /// are returned for binary-specific handling (use
     /// [`expect_no_extras`](Self::expect_no_extras) when there are none).
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed flag values or unreadable
-    /// spec files.
+    /// A missing or malformed flag value, or an unreadable spec file,
+    /// exits through [`UsageError::exit`] with code 2.
     #[must_use]
     pub fn from_args(args: impl Iterator<Item = String>) -> (Self, Vec<String>) {
+        Self::try_from_args(args).unwrap_or_else(|error| error.exit(""))
+    }
+
+    /// [`from_args`](Self::from_args), returning a bad value as
+    /// [`UsageError::Malformed`] instead of exiting.
+    fn try_from_args(
+        args: impl Iterator<Item = String>,
+    ) -> Result<(Self, Vec<String>), UsageError> {
+        fn value(
+            args: &mut impl Iterator<Item = String>,
+            flag: &str,
+        ) -> Result<String, UsageError> {
+            args.next()
+                .ok_or_else(|| UsageError::Malformed(format!("{flag} requires a value")))
+        }
+        fn parsed<T: std::str::FromStr>(
+            args: &mut impl Iterator<Item = String>,
+            flag: &str,
+            kind: &str,
+        ) -> Result<T, UsageError> {
+            let raw = value(args, flag)?;
+            raw.parse()
+                .map_err(|_| UsageError::Malformed(format!("{flag} expects {kind}, got {raw:?}")))
+        }
+
         // Pass 1: extract `--spec <file>` (the base layer) so that flag
         // position relative to it cannot matter.
         let raw: Vec<String> = args.skip(1).collect();
@@ -205,20 +235,21 @@ impl ScenarioSpec {
         let mut raw = raw.into_iter();
         while let Some(arg) = raw.next() {
             if arg == "--spec" {
-                let path = raw
-                    .next()
-                    .unwrap_or_else(|| panic!("--spec requires a value"));
-                let text = std::fs::read_to_string(&path)
-                    .unwrap_or_else(|e| panic!("cannot read spec file {path:?}: {e}"));
-                spec = serde_json::from_str(&text)
-                    .unwrap_or_else(|e| panic!("malformed spec file {path:?}: {e}"));
+                let path = value(&mut raw, "--spec")?;
+                let text = std::fs::read_to_string(&path).map_err(|e| {
+                    UsageError::Malformed(format!("cannot read spec file {path:?}: {e}"))
+                })?;
+                spec = serde_json::from_str(&text).map_err(|e| {
+                    UsageError::Malformed(format!("malformed spec file {path:?}: {e}"))
+                })?;
             } else {
                 remaining.push(arg);
             }
         }
 
         // Pass 2: the shared runtime flags, via the one implementation.
-        let (run_flags, remaining) = pan_runtime::RunFlags::parse(remaining.into_iter());
+        let (run_flags, remaining) = pan_runtime::RunFlags::try_parse(remaining.into_iter())
+            .map_err(UsageError::Malformed)?;
         if let Some(threads) = run_flags.threads {
             spec.threads = threads;
         }
@@ -230,70 +261,36 @@ impl ScenarioSpec {
         let mut rest = Vec::new();
         let mut dump = false;
         let mut args = remaining.into_iter();
-        fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} requires a value"))
-        }
-        fn parsed<T: std::str::FromStr>(raw: &str, flag: &str, kind: &str) -> T {
-            raw.parse()
-                .unwrap_or_else(|_| panic!("{flag} expects {kind}, got {raw:?}"))
-        }
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--quick" => spec.quick = true,
                 "--json" => spec.json = true,
                 "--dump-spec" => dump = true,
-                "--ases" => spec.ases = parsed(&value(&mut args, "--ases"), "--ases", "a count"),
-                "--sample" => {
-                    spec.sample = parsed(&value(&mut args, "--sample"), "--sample", "a count");
-                }
+                "--ases" => spec.ases = parsed(&mut args, "--ases", "a count")?,
+                "--sample" => spec.sample = parsed(&mut args, "--sample", "a count")?,
                 "--reroute" => {
-                    spec.discovery.reroute_share =
-                        parsed(&value(&mut args, "--reroute"), "--reroute", "a fraction");
+                    spec.discovery.reroute_share = parsed(&mut args, "--reroute", "a fraction")?
                 }
                 "--attract" => {
-                    spec.discovery.attract_share =
-                        parsed(&value(&mut args, "--attract"), "--attract", "a fraction");
+                    spec.discovery.attract_share = parsed(&mut args, "--attract", "a fraction")?
                 }
-                "--grid" => {
-                    spec.discovery.grid = parsed(&value(&mut args, "--grid"), "--grid", "a count");
-                }
-                "--khop" => {
-                    spec.discovery.khop =
-                        parsed(&value(&mut args, "--khop"), "--khop", "a hop count");
-                }
+                "--grid" => spec.discovery.grid = parsed(&mut args, "--grid", "a count")?,
+                "--khop" => spec.discovery.khop = parsed(&mut args, "--khop", "a hop count")?,
                 "--khop-cap" => {
-                    spec.discovery.khop_cap =
-                        parsed(&value(&mut args, "--khop-cap"), "--khop-cap", "a count");
+                    spec.discovery.khop_cap = parsed(&mut args, "--khop-cap", "a count")?
                 }
-                "--noise" => {
-                    spec.discovery.noise =
-                        parsed(&value(&mut args, "--noise"), "--noise", "a fraction");
-                }
-                "--top" => {
-                    spec.discovery.top = parsed(&value(&mut args, "--top"), "--top", "a count");
-                }
-                "--rounds" => {
-                    spec.evolution.rounds =
-                        parsed(&value(&mut args, "--rounds"), "--rounds", "a count");
-                }
+                "--noise" => spec.discovery.noise = parsed(&mut args, "--noise", "a fraction")?,
+                "--top" => spec.discovery.top = parsed(&mut args, "--top", "a count")?,
+                "--rounds" => spec.evolution.rounds = parsed(&mut args, "--rounds", "a count")?,
                 "--adopt-top" => {
-                    spec.evolution.adopt_top =
-                        parsed(&value(&mut args, "--adopt-top"), "--adopt-top", "a count");
+                    spec.evolution.adopt_top = parsed(&mut args, "--adopt-top", "a count")?
                 }
                 "--min-surplus" => {
-                    spec.evolution.min_surplus = parsed(
-                        &value(&mut args, "--min-surplus"),
-                        "--min-surplus",
-                        "a utility",
-                    );
+                    spec.evolution.min_surplus = parsed(&mut args, "--min-surplus", "a utility")?
                 }
-                "--shock" => {
-                    spec.evolution.shock =
-                        parsed(&value(&mut args, "--shock"), "--shock", "a fraction");
-                }
-                "--caida" => spec.source.caida = value(&mut args, "--caida"),
-                "--snapshot" => spec.source.snapshot = value(&mut args, "--snapshot"),
+                "--shock" => spec.evolution.shock = parsed(&mut args, "--shock", "a fraction")?,
+                "--caida" => spec.source.caida = value(&mut args, "--caida")?,
+                "--snapshot" => spec.source.snapshot = value(&mut args, "--snapshot")?,
                 _ => rest.push(arg),
             }
         }
@@ -301,17 +298,14 @@ impl ScenarioSpec {
             println!("{}", serde_json::to_string(&spec).expect("specs serialize"));
             std::process::exit(0);
         }
-        (spec, rest)
+        Ok((spec, rest))
     }
 
     /// Parses [`std::env::args`], rejecting any argument the shared
     /// parser does not recognize — the one-liner for binaries with no
     /// flags of their own. `--help` prints usage and exits 0; an
-    /// unknown flag prints usage to stderr and exits 2.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed flag values.
+    /// unknown flag or a malformed value prints usage to stderr and
+    /// exits 2.
     #[must_use]
     pub fn from_env_strict() -> Self {
         let (spec, rest) = Self::from_args(std::env::args());

@@ -23,7 +23,7 @@
 //!    streams) and returns the concluded agreements ranked by NBS
 //!    surplus — bit-identical at any thread count.
 //!
-//! The evolution engines (`dynamics`/`incremental`) run the hotter
+//! The evolution engine (`dynamics`) runs the hotter
 //! *programmed* variant instead: `NodePrograms` precomputes each
 //! node's linear reroute/attract collapse **and** its transit-price
 //! collapse (Σ sign·rate over the row, plus the nonlinear residue), and
@@ -501,9 +501,9 @@ impl DiscoveryReport {
     /// and top-`top` truncation (`0` = keep all). Both the dense sweep
     /// and the legacy comparison engine in `pan-bench` build their
     /// reports here, so their outputs stay comparable by construction.
-    /// The evolution engines do not sort a report: they share this
-    /// function's comparator and aggregate sums, but rank only the
-    /// outcomes their adoption scan reads.
+    /// The evolution engine does not sort a report: it shares this
+    /// function's comparator and aggregate sums, but ranks only the
+    /// outcomes its adoption scan reads.
     ///
     /// Surpluses are ordered by [`f64::total_cmp`], so assembly never
     /// panics on unusual inputs; the engines themselves reject
@@ -530,7 +530,7 @@ impl DiscoveryReport {
 /// A report's aggregates over `outcomes`, summed in iteration order:
 /// `(concluded_flow_volume, concluded_cash, total_surplus)`. The f64
 /// sum depends on its order, so every producer of these numbers — the
-/// report, and both evolution engines — sums through here, in
+/// report and the evolution engine — sums through here, in
 /// enumeration order.
 pub(crate) fn tally<'a>(
     outcomes: impl Iterator<Item = &'a PairOutcome> + Clone,
@@ -544,9 +544,8 @@ pub(crate) fn tally<'a>(
 
 /// The canonical ranking of discovered outcomes, over `(surplus, x, y)`:
 /// surplus descending under [`f64::total_cmp`], then the ascending ASN
-/// pair. The one place the rule lives — the report sort, the evolution
-/// engine's [`ranked_scan`], and the incremental engine's heap all
-/// order through it.
+/// pair. The one place the rule lives — the report sort and the
+/// evolution engine's [`ranked_scan`] both order through it.
 pub(crate) fn rank_cmp(a: (f64, Asn, Asn), b: (f64, Asn, Asn)) -> Ordering {
     b.0.total_cmp(&a.0)
         .then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
@@ -1272,7 +1271,7 @@ fn collapse_node(
 /// The pair-specific transit structure of one candidate: everything
 /// [`evaluate_candidate_with`] needs beyond the per-node programs, and
 /// a pure function of the graph and the (transit) pricing tables alone —
-/// flows never enter, so the incremental engine caches these across
+/// flows never enter, so the evolution engine caches these across
 /// rounds and only rebuilds them when topology or pricing changes.
 #[derive(Debug, Clone, Default)]
 pub struct PairTransit {
@@ -1282,7 +1281,7 @@ pub struct PairTransit {
 
 impl PairTransit {
     /// Bytes held **beyond** `size_of::<PairTransit>()` — the sides'
-    /// exclusion-list capacity. Feeds the engines' resident-set
+    /// exclusion-list capacity. Feeds the engine's resident-set
     /// accounting.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
@@ -1386,9 +1385,9 @@ fn derive_side_transit(ctx: &BatchContext<'_>, beneficiary: u32, partner: u32) -
 /// Results are a pure function of the endpoint rows (plus their
 /// end-host and totals scalars), deterministic at any thread count, and
 /// agree with [`evaluate_candidate`] up to f64 re-association — the
-/// collapse sums the same model terms in a different order. Both
-/// evolution engines evaluate through this function on noise-free
-/// configurations, which is what makes their rounds bit-identical.
+/// collapse sums the same model terms in a different order. The
+/// evolution engine evaluates through this function on noise-free
+/// configurations.
 ///
 /// # Errors
 ///

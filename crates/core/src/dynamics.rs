@@ -48,53 +48,23 @@
 //! terminates: each round either adopts a never-before-adopted pair or
 //! reaches the fixed point.
 //!
-//! # Discovery engines: full resweep vs incremental
+//! # One engine, cached across rounds
 //!
-//! A driver steps with one of two [`Engine`]s. [`Engine::Full`]
-//! re-evaluates every non-adopted candidate each round — the reference
-//! implementation. [`Engine::Incremental`] re-evaluates only candidates
-//! whose inputs changed, which on a large static-graph market is a small
-//! fraction of the candidate set per round. Both produce **byte-identical
-//! trajectories at any thread count**; the full engine stays the
-//! equivalence oracle the differential test suite compares against.
+//! Every round re-evaluates every non-adopted candidate. The driver
+//! keeps only what provably survives a round: the candidate enumeration
+//! (until adoption registers a new peering link) and each pair's
+//! flow-independent transit structure (until a pricing table changes).
+//! A warm round on a static graph therefore costs one node-program build
+//! plus one programmed evaluation per candidate.
 //!
-//! ## Dirty-set semantics
-//!
-//! A candidate evaluation reads only the two endpoint ASes' dense-table
-//! rows (adjacency, pricing entries, flow entries, row totals), so the
-//! state tracks changes at row granularity in a [`pan_econ::DirtyRows`]
-//! journal:
-//!
-//! - every flow/price mutation of adoption goes through the dense
-//!   tables' `*_tracked` hooks, marking the mutated row;
-//! - [`MarketState::adopt_outcome`] additionally marks both parties
-//!   (covering the graph-row change of a new peering link and the
-//!   adopted-set change);
-//! - a perturbation pass marks **all** rows — its traffic-drift pass
-//!   genuinely touches every row, so shocked rounds are full resweeps by
-//!   construction, not by approximation;
-//! - a freshly built, cloned, or restored state starts all-dirty: a
-//!   consumer that has never drained the journal has never seen any row.
-//!
-//! A pair is re-evaluated when either endpoint is dirty. Over-marking is
-//! always sound (a clean re-evaluation reproduces the cached outcome bit
-//! for bit); **under**-marking is the only way to break equivalence, so
-//! every mutation path above errs conservative.
-//!
-//! ## Heap determinism contract
-//!
-//! The incremental engine keeps evaluated candidates in a persistent
-//! max-heap ordered exactly like the discovery report ranking — surplus
-//! descending under [`f64::total_cmp`], ties by ascending ASN pair — with
-//! lazy invalidation: re-evaluating a pair pushes a new entry under a
-//! bumped generation, and superseded entries are dropped when popped.
-//! Round aggregates (candidate counts, `discovered_surplus`) are
-//! re-summed in enumeration order rather than updated with deltas, so
-//! f64 summation order matches the full engine's. The crate-private
-//! `incremental` module documents the full exactness argument.
-//! Per-pair share jitter ([`DiscoveryConfig::noise`] `> 0`) makes
-//! outcomes depend on sweep-stream positions rather than rows alone, so
-//! those configurations silently run the full path.
+//! Caching evaluated *outcomes* and re-evaluating only pairs whose
+//! endpoint rows changed does not pay, because row-level dirtiness is
+//! the wrong grain here: one adoption rewrites the rows of every
+//! provider and customer of both parties and of the partner's grant
+//! targets, the top-ranked agreements are between hubs, and a shock's
+//! traffic drift touches every row. On a 10k-AS market a warm round's
+//! adoptions dirtied 9,987 of 10,000 rows, so such a cache re-evaluates
+//! nearly every candidate anyway and adds its own bookkeeping on top.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -104,16 +74,16 @@ use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
 
-use pan_econ::{DenseEconomics, DirtyDrain, DirtyRows, FlowMatrix};
+use pan_econ::{DenseEconomics, FlowMatrix};
 use pan_runtime::{ScenarioSweep, ThreadPool};
 use pan_topology::{AsGraph, Asn, NeighborKind};
 
 use crate::discovery::{
-    collect_targets, derive_pair_transit, enumerate_candidates_for, evaluate_candidate,
-    evaluate_candidate_with, ranked_scan, tally, BatchContext, CandidatePair, DiscoveryConfig,
-    DiscoveryReport, NodePrograms, PairOutcome, PairScratch, PairTransit, CANDIDATE_TILE,
+    collect_targets, derive_pair_transit, enumerate_candidates, enumerate_candidates_for,
+    evaluate_candidate, evaluate_candidate_with, ranked_scan, tally, BatchContext, CandidatePair,
+    CandidatePolicy, DiscoveryConfig, DiscoveryReport, NodePrograms, PairOutcome, PairScratch,
+    PairTransit, CANDIDATE_TILE,
 };
-use crate::incremental::{ensure, refresh_enumeration, EnumerationCache, IncrementalState};
 use crate::{AgreementError, Result};
 
 /// Monotonic source of [`MarketState`] identity tokens: the caches on an
@@ -145,10 +115,6 @@ pub struct MarketState {
     /// membership tests only, so the hash order cannot leak into
     /// results.
     adopted: HashSet<(u32, u32)>,
-    /// Row-granular change journal feeding the incremental discovery
-    /// engine; see the [module docs](self) for the marking rules. Not
-    /// part of any wire format — a restored state starts all-dirty.
-    dirty: DirtyRows,
     /// Identity token the driver-side caches key on; fresh per
     /// construction/clone (see [`NEXT_STATE_TOKEN`]).
     token: u64,
@@ -157,7 +123,7 @@ pub struct MarketState {
     graph_version: u64,
     /// Bumped whenever a pricing table mutates (perturbation price
     /// shocks) — the invalidation signal for caches derived from
-    /// pricing but not flows (the incremental engine's per-pair transit
+    /// pricing but not flows (the driver's per-pair transit
     /// structures). Flow mutations never bump it.
     pricing_epoch: u64,
     /// Coarse market revision: bumped on every adoption and every
@@ -197,10 +163,9 @@ impl AdoptScratch {
 }
 
 impl Clone for MarketState {
-    /// Clones the market. The clone gets a fresh identity token and an
-    /// all-dirty journal: driver caches built against the original must
-    /// not be trusted for the copy, and treating every row as changed is
-    /// always sound.
+    /// Clones the market. The clone gets a fresh identity token: driver
+    /// caches built against the original must not be trusted for the
+    /// copy.
     fn clone(&self) -> Self {
         MarketState {
             graph: self.graph.clone(),
@@ -208,7 +173,6 @@ impl Clone for MarketState {
             flows: self.flows.clone(),
             cash: self.cash.clone(),
             adopted: self.adopted.clone(),
-            dirty: DirtyRows::new(self.graph.node_count()),
             token: next_state_token(),
             graph_version: self.graph_version,
             pricing_epoch: self.pricing_epoch,
@@ -236,14 +200,12 @@ impl MarketState {
             }
         }
         let cash = vec![0.0; graph.node_count()];
-        let dirty = DirtyRows::new(graph.node_count());
         Ok(MarketState {
             graph,
             econ,
             flows,
             cash,
             adopted: HashSet::new(),
-            dirty,
             token: next_state_token(),
             graph_version: 0,
             pricing_epoch: 0,
@@ -321,14 +283,12 @@ impl MarketState {
                 });
             }
         }
-        let dirty = DirtyRows::new(graph.node_count());
         Ok(MarketState {
             graph,
             econ,
             flows,
             cash,
             adopted: set,
-            dirty,
             token: next_state_token(),
             graph_version: 0,
             pricing_epoch: 0,
@@ -369,22 +329,6 @@ impl MarketState {
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Takes the accumulated dirty-row journal (and resets it).
-    pub(crate) fn drain_dirty(&mut self) -> DirtyDrain {
-        self.dirty.drain()
-    }
-
-    /// Conservatively flags every row as changed.
-    pub(crate) fn mark_all_dirty(&mut self) {
-        self.dirty.mark_all();
-    }
-
-    /// `true` if `node`'s row changed since the last drain.
-    #[cfg(test)]
-    pub(crate) fn is_dirty_row(&self, node: u32) -> bool {
-        self.dirty.is_dirty(node)
     }
 
     /// The current topology (grows a peering link per adopted
@@ -428,9 +372,9 @@ impl MarketState {
 
     /// Approximate bytes the state keeps resident: the topology, the
     /// dense pricing/flow tables (including their SoA lanes), the cash
-    /// ledger, the adopted set, the dirty journal, and the adoption
-    /// scratch. Computed from actual container capacities — the serving
-    /// layer's `stats` verb and the scale benchmarks report this.
+    /// ledger, the adopted set, and the adoption scratch. Computed from
+    /// actual container capacities — the serving layer's `stats` verb
+    /// and the scale benchmarks report this.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -439,7 +383,6 @@ impl MarketState {
             + self.flows.resident_bytes()
             + self.cash.capacity() * size_of::<f64>()
             + self.adopted.capacity() * (size_of::<(u32, u32)>() + size_of::<u64>())
-            + self.dirty.resident_bytes()
             + self.adopt_scratch.resident_bytes()
     }
 
@@ -523,11 +466,6 @@ impl MarketState {
             // slot, but cached enumerations are now stale.
             self.graph_version += 1;
         }
-        // The parties' rows change by construction (new adjacency entry
-        // and/or the peering-link volume below); mark them even when the
-        // materialized deltas happen to vanish.
-        self.dirty.mark(x);
-        self.dirty.mark(y);
         self.materialize(x, y, outcome.shares, (cash.reroute, cash.attract));
         // Eq. (10)–(11): X pays Π_{X→Y} to Y (negative = Y pays X).
         self.cash[x as usize] -= cash.transfer_x_to_y;
@@ -649,12 +587,17 @@ impl MarketState {
                 deltas.push((t, back, per_seg));
             }
         }
+        // A negative result is clamped at zero. Each clamp is counted:
+        // it means the deltas drained more flow than the entry held, a
+        // conservation break that must not pass silently.
+        let mut clamps = 0u64;
         for &(node, pos, delta) in &deltas {
-            let updated = (self.flows.flow(node, pos) + delta).max(0.0);
-            // `pos == degree` addresses the trailing end-host slot; the
-            // tracked hook marks the row either way.
-            self.flows.set_tracked(&mut self.dirty, node, pos, updated);
+            let updated = self.flows.flow(node, pos) + delta;
+            clamps += u64::from(updated < 0.0);
+            // `pos == degree` addresses the trailing end-host slot.
+            self.flows.set(node, pos, updated.max(0.0));
         }
+        pan_telemetry::counter("core.adopt.flow_clamps").add(clamps);
         self.adopt_scratch.deltas = deltas;
         self.adopt_scratch.targets = targets;
     }
@@ -675,10 +618,6 @@ impl MarketState {
     /// `rng`, so a perturbation pass is deterministic for a given state
     /// and stream.
     fn perturb(&mut self, shock: f64, rng: &mut ChaCha12Rng) -> Result<PerturbationRecord> {
-        // The drift pass below rescales every link and end-host volume,
-        // so flagging every row is *precise*, not conservative: a shocked
-        // round is necessarily a full resweep.
-        self.dirty.mark_all();
         self.generation += 1;
         let n = self.graph.node_count() as u32;
         // Pass 1: traffic drift, one factor per link (visited from its
@@ -940,58 +879,8 @@ pub struct RoundOutcome {
     pub fixed_point: bool,
 }
 
-/// Discovery-engine selection for an [`EvolutionDriver`]; see the
-/// [module docs](self) for the equivalence contract between the two.
-///
-/// The engine is **not** part of [`EvolutionConfig`] or the snapshot
-/// wire format: both engines produce byte-identical trajectories, so
-/// the choice is an execution detail (like the thread count), applied
-/// per driver and re-applied by serving layers after a restore.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum Engine {
-    /// Re-evaluate every non-adopted candidate each round — the
-    /// reference engine and differential oracle.
-    #[default]
-    Full,
-    /// Re-evaluate only candidates intersecting the dirty-AS set,
-    /// served from a persistent lazily-invalidated surplus heap.
-    Incremental,
-}
-
-impl Engine {
-    /// Canonical lowercase name (the `--engine` CLI vocabulary).
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Engine::Full => "full",
-            Engine::Incremental => "incremental",
-        }
-    }
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
-        match s {
-            "full" => Ok(Engine::Full),
-            "incremental" => Ok(Engine::Incremental),
-            other => Err(format!(
-                "unknown engine {other:?}; known: full, incremental"
-            )),
-        }
-    }
-}
-
-/// What one round's discovery-and-adoption scan produced — the
-/// engine-independent payload both [`Engine`] implementations return,
-/// assembled into the [`RoundRecord`] by [`EvolutionDriver::step`].
+/// What one round's discovery-and-adoption scan produced, assembled
+/// into the [`RoundRecord`] by [`EvolutionDriver::step`].
 #[derive(Debug)]
 pub(crate) struct RoundScan {
     pub(crate) candidates: usize,
@@ -1019,23 +908,63 @@ pub(crate) struct RoundScan {
 /// a resident market can always be stepped again later (the shock a
 /// batch run would deem "unobservable" is observable after a restore).
 ///
-/// The driver additionally owns the per-state caches of its [`Engine`]
-/// (candidate enumeration, incremental evaluation slots + surplus
-/// heap). The caches never influence results — they are keyed on the
-/// state's identity token and rebuilt cold whenever they do not
+/// The driver additionally owns per-state caches (the candidate
+/// enumeration and the per-pair transit structures; see the [module
+/// docs](self)). The caches never influence results — they are keyed on
+/// the state's identity token and rebuilt cold whenever they do not
 /// recognize the state — and are excluded from equality: two drivers
 /// compare equal iff they would continue a trajectory identically.
 #[derive(Debug, Clone)]
 pub struct EvolutionDriver {
     config: EvolutionConfig,
     rounds_done: usize,
-    engine: Engine,
     enumeration: Option<EnumerationCache>,
-    incremental: Option<IncrementalState>,
     full: Option<FullEngineCache>,
 }
 
-/// The full engine's cross-round cache: per-candidate [`PairTransit`]
+/// The candidate enumeration of a known `(state, graph)` pair, reused
+/// across rounds until the graph changes (new peering link) or the
+/// driver is pointed at a different state.
+#[derive(Debug, Clone)]
+pub(crate) struct EnumerationCache {
+    token: u64,
+    graph_version: u64,
+    /// The unfiltered enumeration (adopted pairs included — the adopted
+    /// set changes every round, so filtering happens per round).
+    pub(crate) pairs: Vec<CandidatePair>,
+    /// Times the enumeration was (re)computed, including the first.
+    pub(crate) rebuilds: usize,
+    /// Rounds served from the cache without re-enumerating.
+    pub(crate) reuses: usize,
+}
+
+/// Ensures `cache` holds the current enumeration of `state`, reusing it
+/// when the state identity and graph version both match.
+fn refresh_enumeration(
+    cache: &mut Option<EnumerationCache>,
+    state: &MarketState,
+    policy: CandidatePolicy,
+) {
+    let (token, graph_version) = (state.cache_token(), state.graph_version());
+    if let Some(cached) = cache {
+        if cached.token == token && cached.graph_version == graph_version {
+            cached.reuses += 1;
+            pan_telemetry::counter("core.cache.enumeration.reuses").inc();
+            return;
+        }
+    }
+    pan_telemetry::counter("core.cache.enumeration.rebuilds").inc();
+    let (rebuilds, reuses) = cache.as_ref().map_or((0, 0), |c| (c.rebuilds, c.reuses));
+    *cache = Some(EnumerationCache {
+        token,
+        graph_version,
+        pairs: enumerate_candidates(state.graph(), policy),
+        rebuilds: rebuilds + 1,
+        reuses,
+    });
+}
+
+/// The engine's cross-round cache: per-candidate [`PairTransit`]
 /// structures plus the round's reusable index buffers.
 ///
 /// Transit structures are pure functions of the graph and the transit
@@ -1133,14 +1062,12 @@ fn ensure_full<'a>(
 
 impl PartialEq for EvolutionDriver {
     fn eq(&self, other: &Self) -> bool {
-        self.config == other.config
-            && self.rounds_done == other.rounds_done
-            && self.engine == other.engine
+        self.config == other.config && self.rounds_done == other.rounds_done
     }
 }
 
 impl EvolutionDriver {
-    /// Creates a driver at round 0 with the [`Engine::Full`] engine.
+    /// Creates a driver at round 0.
     ///
     /// # Errors
     ///
@@ -1151,9 +1078,7 @@ impl EvolutionDriver {
     }
 
     /// Creates a driver that continues after `rounds_done` earlier
-    /// rounds — the restore path. Restored drivers start on
-    /// [`Engine::Full`]; serving layers re-apply their engine choice via
-    /// [`set_engine`](Self::set_engine).
+    /// rounds — the restore path.
     ///
     /// # Errors
     ///
@@ -1164,36 +1089,9 @@ impl EvolutionDriver {
         Ok(EvolutionDriver {
             config,
             rounds_done,
-            engine: Engine::Full,
             enumeration: None,
-            incremental: None,
             full: None,
         })
-    }
-
-    /// The driver with the given engine selected (builder form of
-    /// [`set_engine`](Self::set_engine)).
-    #[must_use]
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.set_engine(engine);
-        self
-    }
-
-    /// Selects the discovery engine for subsequent steps. Switching
-    /// engines drops the incremental cache — a cold cache re-evaluates
-    /// everything on its next round, which is always sound — and keeps
-    /// the engine-independent enumeration cache.
-    pub fn set_engine(&mut self, engine: Engine) {
-        if self.engine != engine {
-            self.incremental = None;
-        }
-        self.engine = engine;
-    }
-
-    /// The selected discovery engine.
-    #[must_use]
-    pub fn engine(&self) -> Engine {
-        self.engine
     }
 
     /// The evolution configuration.
@@ -1209,22 +1107,17 @@ impl EvolutionDriver {
         self.rounds_done
     }
 
-    /// Approximate bytes the driver's caches keep resident: the shared
-    /// candidate enumeration, the incremental engine's slots/transit
-    /// table/heap, and the full engine's transit cache. Add to
+    /// Approximate bytes the driver's caches keep resident: the
+    /// candidate enumeration and the transit cache. Add to
     /// [`MarketState::resident_bytes`] for a session's total footprint.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         self.enumeration.as_ref().map_or(0, |e| {
             e.pairs.capacity() * std::mem::size_of::<CandidatePair>()
         }) + self
-            .incremental
+            .full
             .as_ref()
-            .map_or(0, IncrementalState::resident_bytes)
-            + self
-                .full
-                .as_ref()
-                .map_or(0, FullEngineCache::resident_bytes)
+            .map_or(0, FullEngineCache::resident_bytes)
     }
 
     /// The sub-seed of the next round: the `rounds_done`-th draw of the
@@ -1243,7 +1136,7 @@ impl EvolutionDriver {
     /// tables, adopt the best party-disjoint outcomes, apply the closing
     /// shock (if configured), and advance the round counter. Heavy work
     /// fans out over `sweep`; the result is bit-identical at any thread
-    /// count **and any engine** (see the [module docs](self)).
+    /// count.
     ///
     /// Stepping past a fixed point is well-defined: an unshocked
     /// exhausted market keeps producing zero-adoption rounds.
@@ -1258,9 +1151,8 @@ impl EvolutionDriver {
         let round_sweep = sweep.reseeded(round_seed);
         let config = self.config;
 
-        // Candidate enumeration is engine-independent and cached across
-        // rounds; it re-runs only when the peering graph (or the state
-        // identity) changed.
+        // Candidate enumeration is cached across rounds; it re-runs only
+        // when the peering graph (or the state identity) changed.
         {
             let _span = pan_telemetry::histogram("core.phase.enumerate_ns").start();
             refresh_enumeration(&mut self.enumeration, state, config.discovery.policy);
@@ -1271,22 +1163,8 @@ impl EvolutionDriver {
             .expect("enumeration cache was just refreshed")
             .pairs;
 
-        // Per-pair noise draws a jitter from the pair's *filtered-list*
-        // stream, which shifts as pairs are adopted — cached evaluations
-        // would be unsound, so the incremental engine only engages when
-        // the shares are deterministic.
-        let scan = if self.engine == Engine::Incremental && config.discovery.noise == 0.0 {
-            ensure(&mut self.incremental, state, pairs).round(
-                state,
-                &config,
-                &round_sweep,
-                pairs,
-                round,
-            )?
-        } else {
-            let cache = ensure_full(&mut self.full, state, pairs);
-            full_round(state, &config, &round_sweep, pairs, cache, round)?
-        };
+        let cache = ensure_full(&mut self.full, state, pairs);
+        let scan = full_round(state, &config, &round_sweep, pairs, cache, round)?;
         let total_flow = state.flows.grand_total();
 
         // Fixed point: an unshocked round without adoptions cannot
@@ -1331,13 +1209,7 @@ impl EvolutionDriver {
         self.enumeration.as_ref()
     }
 
-    /// The incremental-engine cache, for soundness tests.
-    #[cfg(test)]
-    pub(crate) fn incremental_cache(&self) -> Option<&IncrementalState> {
-        self.incremental.as_ref()
-    }
-
-    /// The full engine's transit cache, for cache-behavior tests.
+    /// The transit cache, for cache-behavior tests.
     #[cfg(test)]
     pub(crate) fn full_cache(&self) -> Option<&FullEngineCache> {
         self.full.as_ref()
@@ -1351,10 +1223,8 @@ impl EvolutionDriver {
 /// scan reads 13k-25k outcomes.
 const RANK_CHUNK_PER_ADOPTION: usize = 4;
 
-/// The reference engine: evaluate every non-adopted candidate from
-/// scratch, rank, and run the party-disjoint adoption scan. The
-/// incremental engine replicates this function's observable behavior
-/// bit for bit (see the [module docs](self)).
+/// One round: evaluate every non-adopted candidate, rank, and run the
+/// party-disjoint adoption scan.
 ///
 /// The round never assembles a sorted [`DiscoveryReport`]: its
 /// aggregates are summed in filtered enumeration order (the report's
@@ -1393,12 +1263,10 @@ fn full_round(
         if config.discovery.noise == 0.0 {
             // Noise-free sweeps evaluate through the shared per-node
             // collapse — one row walk per node per round instead of one
-            // per candidate, and the exact path the incremental engine
-            // re-evaluates stale candidates through, which is what makes
-            // the engines' rounds bit-identical. Transit structures are
-            // flow-independent, so they live in the driver's cache
-            // across rounds; only the slots emptied by a key change are
-            // (re)derived here, in parallel.
+            // per candidate. Transit structures are flow-independent, so
+            // they live in the driver's cache across rounds; only the
+            // slots emptied by a key change are (re)derived here, in
+            // parallel.
             let programs = {
                 let _span = pan_telemetry::histogram("core.phase.programs_ns").start();
                 NodePrograms::build(
@@ -1559,23 +1427,7 @@ pub fn evolve(
     config: &EvolutionConfig,
     sweep: &ScenarioSweep,
 ) -> Result<EvolutionReport> {
-    evolve_with_engine(state, config, sweep, Engine::Full)
-}
-
-/// [`evolve`] with an explicit [`Engine`] selection. Both engines
-/// produce byte-identical reports (timing fields aside); see the
-/// [module docs](self) for the equivalence contract.
-///
-/// # Errors
-///
-/// As [`evolve`].
-pub fn evolve_with_engine(
-    state: &mut MarketState,
-    config: &EvolutionConfig,
-    sweep: &ScenarioSweep,
-    engine: Engine,
-) -> Result<EvolutionReport> {
-    let mut driver = EvolutionDriver::new(*config)?.with_engine(engine);
+    let mut driver = EvolutionDriver::new(*config)?;
     let mut report = EvolutionReport {
         rounds: Vec::new(),
         agreements: Vec::new(),
@@ -2376,99 +2228,6 @@ mod tests {
         );
     }
 
-    /// Steps a fresh synthetic market `rounds` times under `engine` and
-    /// returns everything the equivalence contract promises to preserve:
-    /// the (timing-zeroed) round records, the adopted agreements, and
-    /// the exact checkpoint bytes of the final state.
-    fn trajectory(
-        ases: usize,
-        net_seed: u64,
-        config: EvolutionConfig,
-        sweep: &ScenarioSweep,
-        engine: Engine,
-        rounds: usize,
-    ) -> (Vec<RoundRecord>, Vec<AdoptedAgreement>, String) {
-        let mut state = synthetic_state(ases, net_seed);
-        let mut driver = EvolutionDriver::new(config).unwrap().with_engine(engine);
-        let mut records = Vec::new();
-        let mut agreements = Vec::new();
-        for _ in 0..rounds {
-            let outcome = driver.step(&mut state, sweep).unwrap();
-            records.push(outcome.record.with_zeroed_timing());
-            agreements.extend(outcome.agreements);
-        }
-        let json = MarketSnapshot::capture(&state, &driver, sweep.master_seed()).to_json();
-        (records, agreements, json)
-    }
-
-    #[test]
-    fn incremental_engine_matches_the_full_resweep_byte_for_byte() {
-        // Unshocked (warm heap every round) and shocked (mark_all forces
-        // full re-evaluation mid-trajectory) variants, each compared at
-        // threads 1 and 4 against the single-threaded full resweep.
-        for shock in [0.0, 0.35] {
-            let config = EvolutionConfig {
-                discovery: DiscoveryConfig {
-                    grid: 3,
-                    ..DiscoveryConfig::default()
-                },
-                rounds: 4,
-                adopt_top: 6,
-                min_surplus: 1e-3,
-                shock,
-            };
-            let t1 = ScenarioSweep::sequential(9);
-            let full = trajectory(300, 23, config, &t1, Engine::Full, 4);
-            assert!(
-                !full.1.is_empty(),
-                "the shock={shock} fixture must adopt something"
-            );
-            let incremental_t1 = trajectory(300, 23, config, &t1, Engine::Incremental, 4);
-            assert_eq!(full, incremental_t1, "shock={shock}: t1 diverged");
-            let t4 = ScenarioSweep::new(ThreadPool::new(4), 9);
-            let incremental_t4 = trajectory(300, 23, config, &t4, Engine::Incremental, 4);
-            assert_eq!(full, incremental_t4, "shock={shock}: t4 diverged");
-        }
-    }
-
-    #[test]
-    fn noisy_configs_delegate_the_incremental_engine_to_the_full_path() {
-        // Per-pair noise makes cached evaluations unsound (the jitter
-        // depends on a pair's filtered-list position), so a noisy config
-        // must bypass the cache entirely — and still agree with the full
-        // engine, which is what it delegates to.
-        let config = EvolutionConfig {
-            discovery: DiscoveryConfig {
-                noise: 0.15,
-                grid: 3,
-                ..DiscoveryConfig::default()
-            },
-            rounds: 3,
-            adopt_top: 5,
-            min_surplus: 1e-3,
-            shock: 0.4,
-        };
-        let sweep = ScenarioSweep::sequential(9);
-        let full = trajectory(200, 23, config, &sweep, Engine::Full, 3);
-        let mut state = synthetic_state(200, 23);
-        let mut driver = EvolutionDriver::new(config)
-            .unwrap()
-            .with_engine(Engine::Incremental);
-        let mut records = Vec::new();
-        let mut agreements = Vec::new();
-        for _ in 0..3 {
-            let outcome = driver.step(&mut state, &sweep).unwrap();
-            records.push(outcome.record.with_zeroed_timing());
-            agreements.extend(outcome.agreements);
-        }
-        assert!(
-            driver.incremental_cache().is_none(),
-            "noise > 0 must never engage the evaluation cache"
-        );
-        let json = MarketSnapshot::capture(&state, &driver, sweep.master_seed()).to_json();
-        assert_eq!(full, (records, agreements, json));
-    }
-
     #[test]
     fn generation_tracks_adoptions_and_perturbations() {
         let mut state = arbitrage_state(false);
@@ -2491,70 +2250,6 @@ mod tests {
     }
 
     #[test]
-    fn clean_cached_outcomes_match_fresh_evaluation_to_the_bit() {
-        // Dirty-set soundness: after each incremental round, any cached
-        // outcome whose endpoint rows are both clean must equal a fresh
-        // from-scratch evaluation bit for bit — if it does not, the
-        // dirty journal missed a mutation.
-        let config = EvolutionConfig {
-            discovery: DiscoveryConfig {
-                grid: 3,
-                ..DiscoveryConfig::default()
-            },
-            rounds: 8,
-            adopt_top: 6,
-            min_surplus: 1e-3,
-            shock: 0.0,
-        };
-        let sweep = ScenarioSweep::sequential(9);
-        let mut state = synthetic_state(300, 23);
-        let mut driver = EvolutionDriver::new(config)
-            .unwrap()
-            .with_engine(Engine::Incremental);
-        let mut checked = 0usize;
-        for round in 0..4 {
-            driver.step(&mut state, &sweep).unwrap();
-            let cache = driver.incremental_cache().expect("incremental engaged");
-            let pairs = &driver.enumeration_cache().expect("cached").pairs;
-            let ctx = BatchContext::new(state.graph(), state.econ(), state.flows()).unwrap();
-            let programs = NodePrograms::build(
-                &ctx,
-                config.discovery.reroute_share,
-                config.discovery.attract_share,
-            )
-            .unwrap();
-            let mut scratch = PairScratch::new();
-            for (index, &pair) in pairs.iter().enumerate() {
-                if state.is_adopted(pair.x, pair.y)
-                    || state.is_dirty_row(pair.x)
-                    || state.is_dirty_row(pair.y)
-                {
-                    continue;
-                }
-                let Some(cached) = cache.cached_outcome(index) else {
-                    continue;
-                };
-                let transit = derive_pair_transit(&ctx, pair);
-                let fresh = evaluate_candidate_with(
-                    &ctx,
-                    &programs,
-                    &transit,
-                    &mut scratch,
-                    pair,
-                    config.discovery.grid,
-                )
-                .unwrap();
-                assert_eq!(
-                    cached, &fresh,
-                    "round {round}: cached outcome of clean pair {pair:?} went stale"
-                );
-                checked += 1;
-            }
-        }
-        assert!(checked >= 50, "only {checked} clean pairs sampled");
-    }
-
-    #[test]
     fn candidate_enumeration_is_cached_until_the_graph_changes() {
         // Static peering graph (PeeringAdjacent adoptions never create
         // links): one rebuild, then reuses.
@@ -2570,9 +2265,7 @@ mod tests {
         };
         let sweep = ScenarioSweep::sequential(9);
         let mut state = synthetic_state(200, 23);
-        let mut driver = EvolutionDriver::new(config)
-            .unwrap()
-            .with_engine(Engine::Incremental);
+        let mut driver = EvolutionDriver::new(config).unwrap();
         for _ in 0..3 {
             driver.step(&mut state, &sweep).unwrap();
         }
@@ -2587,8 +2280,7 @@ mod tests {
         assert_eq!(driver.enumeration_cache().unwrap().rebuilds, 2);
 
         // A prospective (k-hop) adoption registers a new peering link,
-        // which invalidates the enumeration on the next round — on the
-        // full engine too, since the cache is engine-independent.
+        // which invalidates the enumeration on the next round.
         let mut state = arbitrage_state(true);
         let config = arbitrage_config(CandidatePolicy::PeeringKHop {
             k: 2,
@@ -2650,8 +2342,8 @@ mod tests {
 
     /// Out-of-band mutation between driver rounds, mimicking a serving
     /// layer adopting an advisory answer on the resident market: the
-    /// dirty journal — not any engine bookkeeping — must carry the
-    /// change into the next incremental round.
+    /// driver's cross-round caches must not hide the change from the
+    /// next round.
     fn external_adopt(state: &mut MarketState, config: &EvolutionConfig, round: usize) {
         let graph = state.graph();
         let node = (0..graph.node_count() as u32)
@@ -2678,12 +2370,13 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(4))]
 
-            /// Satellite: random markets, random run parameters, random
-            /// interleavings of {rounds, shocks, external adoptions} —
-            /// the two engines must produce byte-identical trajectories
-            /// and checkpoints at threads 1 and 4.
+            /// Random markets, random run parameters, random
+            /// interleavings of {rounds, shocks, external adoptions}: a
+            /// warm driver, at threads 1 and 4, must produce the
+            /// trajectory and checkpoint of a cold driver rebuilt every
+            /// round (every cross-round cache empty).
             #[test]
-            fn random_markets_evolve_identically_under_both_engines(
+            fn random_markets_evolve_identically_on_warm_and_cold_drivers(
                 ases in 200usize..320,
                 net_seed in 0u64..64,
                 master_seed in 0u64..64,
@@ -2702,13 +2395,15 @@ mod tests {
                     min_surplus: 1e-3,
                     shock,
                 };
-                let run = |sweep: &ScenarioSweep, engine: Engine| {
+                let run = |sweep: &ScenarioSweep, cold: bool| {
                     let mut state = synthetic_state(ases, net_seed);
-                    let mut driver =
-                        EvolutionDriver::new(config).unwrap().with_engine(engine);
+                    let mut driver = EvolutionDriver::new(config).unwrap();
                     let mut records = Vec::new();
                     let mut agreements = Vec::new();
                     for round in 0..rounds {
+                        if cold {
+                            driver = EvolutionDriver::resume(config, round).unwrap();
+                        }
                         let outcome = driver.step(&mut state, sweep).unwrap();
                         records.push(outcome.record.with_zeroed_timing());
                         agreements.extend(outcome.agreements);
@@ -2722,11 +2417,11 @@ mod tests {
                 };
                 let t1 = ScenarioSweep::sequential(master_seed);
                 let t4 = ScenarioSweep::new(ThreadPool::new(4), master_seed);
-                let full = run(&t1, Engine::Full);
-                let incremental_t1 = run(&t1, Engine::Incremental);
-                prop_assert_eq!(&full, &incremental_t1, "t1 diverged");
-                let incremental_t4 = run(&t4, Engine::Incremental);
-                prop_assert_eq!(&full, &incremental_t4, "t4 diverged");
+                let cold = run(&t1, true);
+                let warm_t1 = run(&t1, false);
+                prop_assert_eq!(&cold, &warm_t1, "t1 warm driver diverged");
+                let warm_t4 = run(&t4, false);
+                prop_assert_eq!(&cold, &warm_t4, "t4 warm driver diverged");
             }
         }
     }

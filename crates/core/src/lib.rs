@@ -24,12 +24,10 @@
 //! - [`dynamics`]: multi-round market evolution on top of [`discovery`] —
 //!   adopt the top agreements, materialize their flow volumes and NBS
 //!   transfers (registering new peering links for prospective pairs),
-//!   optionally shock the market, and iterate to a fixed point. Two
-//!   interchangeable engines drive the rounds: the stateless full
-//!   resweep, and an incremental engine ([`Engine::Incremental`]) that
-//!   re-evaluates only candidates touching dirty ASes and ranks them
-//!   through a lazily-invalidated surplus heap — byte-identical
-//!   trajectories, an order of magnitude faster per warm round.
+//!   optionally shock the market, and iterate to a fixed point. Each
+//!   round re-evaluates every non-adopted candidate; what stays valid
+//!   across rounds (the candidate enumeration, per-pair transit
+//!   structures) is cached on the resumable [`EvolutionDriver`].
 //! - [`extension`]: extension of agreement paths (§III-B3) with the
 //!   interdependency constraint on base-agreement targets.
 //!
@@ -78,8 +76,6 @@ mod agreement;
 mod error;
 mod scenario;
 
-mod incremental;
-
 #[cfg(test)]
 mod golden_tests;
 
@@ -101,8 +97,8 @@ pub use discovery::{
     CandidatePolicy, DiscoveryConfig, DiscoveryReport, PairOutcome, PairScratch,
 };
 pub use dynamics::{
-    advise, evolve, evolve_with_engine, AdoptedAgreement, Engine, EvolutionConfig, EvolutionDriver,
-    EvolutionReport, MarketSnapshot, MarketState, RoundOutcome, RoundRecord,
+    advise, evolve, AdoptedAgreement, EvolutionConfig, EvolutionDriver, EvolutionReport,
+    MarketSnapshot, MarketState, RoundOutcome, RoundRecord,
 };
 pub use error::AgreementError;
 pub use flow_volume::{FlowVolumeAgreement, FlowVolumeOptimizer, FlowVolumeOutcome};

@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 
 use pan_topology::{AsGraph, Asn};
 
-use crate::{BusinessModel, CostFunction, DirtyRows, EconError, FlowVec, PricingFunction, Result};
+use crate::{BusinessModel, CostFunction, EconError, FlowVec, PricingFunction, Result};
 
 /// Dense per-AS flow decompositions for an entire topology.
 ///
@@ -131,16 +131,6 @@ impl FlowMatrix {
         self.values[self.offsets[node as usize] as usize + pos] = volume.max(0.0);
     }
 
-    /// [`set`](Self::set) with a change-journal hook: additionally marks
-    /// the mutated row in `dirty`, so incremental consumers learn which
-    /// AS rows moved. A symmetric link update must call this once per
-    /// mirror entry — each call marks only its own row owner.
-    #[inline]
-    pub fn set_tracked(&mut self, dirty: &mut DirtyRows, node: u32, pos: usize, volume: f64) {
-        self.set(node, pos, volume);
-        dirty.mark(node);
-    }
-
     /// The end-host flow `f_{X,Γ_X}` of node `i`.
     #[inline]
     #[must_use]
@@ -157,14 +147,6 @@ impl FlowMatrix {
         );
         let at = self.offsets[node as usize + 1] as usize - 1;
         self.values[at] = volume.max(0.0);
-    }
-
-    /// [`set_end_host`](Self::set_end_host) with a change-journal hook;
-    /// see [`set_tracked`](Self::set_tracked).
-    #[inline]
-    pub fn set_end_host_tracked(&mut self, dirty: &mut DirtyRows, node: u32, volume: f64) {
-        self.set_end_host(node, volume);
-        dirty.mark(node);
     }
 
     /// Total flow through node `i` (sum of the row, end-hosts included).
@@ -665,27 +647,6 @@ impl DenseEconomics {
         let (rate, nonlinear) = lane_of(&self.entries[at]);
         self.signed_rate[at] = rate;
         self.nonlinear[at] = nonlinear;
-        Ok(())
-    }
-
-    /// [`scale_entry_price`](Self::scale_entry_price) with a
-    /// change-journal hook: additionally marks the repriced row in
-    /// `dirty` (both sides of a link must be scaled — and marked — in
-    /// separate calls, one per row owner).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EconError::InvalidParameter`] for a negative or
-    /// non-finite factor; the row is only marked on success.
-    pub fn scale_entry_price_tracked(
-        &mut self,
-        dirty: &mut DirtyRows,
-        node: u32,
-        pos: usize,
-        factor: f64,
-    ) -> Result<()> {
-        self.scale_entry_price(node, pos, factor)?;
-        dirty.mark(node);
         Ok(())
     }
 

@@ -56,14 +56,12 @@ mod flow;
 mod pricing;
 
 pub mod dense;
-pub mod dirty;
 pub mod market;
 pub mod traffic;
 
 pub use business::{BusinessModel, PricingBook};
 pub use cost::CostFunction;
 pub use dense::{DenseEconomics, FlowMatrix, PricedEntry};
-pub use dirty::{DirtyDrain, DirtyRows};
 pub use error::EconError;
 pub use flow::{FlowVec, SegmentFlows, SegmentKey};
 pub use market::MarketTier;

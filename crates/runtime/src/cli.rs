@@ -47,36 +47,44 @@ impl RunFlags {
     ///
     /// # Panics
     ///
-    /// Panics with a usage message on malformed or missing flag values.
+    /// Panics with a usage message on malformed or missing flag values;
+    /// [`try_parse`](Self::try_parse) returns the message instead.
     pub fn parse(args: impl Iterator<Item = String>) -> (Self, Vec<String>) {
+        Self::try_parse(args).unwrap_or_else(|message| panic!("{message}"))
+    }
+
+    /// [`parse`](Self::parse) for callers that report a bad command line
+    /// themselves.
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message naming the flag when its value is
+    /// missing or malformed.
+    pub fn try_parse(args: impl Iterator<Item = String>) -> Result<(Self, Vec<String>), String> {
         let mut flags = RunFlags::default();
         let mut rest = Vec::new();
         let mut args = args;
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--threads" => {
-                    let value = args
-                        .next()
-                        .unwrap_or_else(|| panic!("--threads requires a value"));
+                    let value = args.next().ok_or("--threads requires a value")?;
                     let threads: usize = value
                         .parse()
-                        .unwrap_or_else(|_| panic!("--threads expects a count, got {value:?}"));
+                        .map_err(|_| format!("--threads expects a count, got {value:?}"))?;
                     flags.threads = Some(threads.max(1));
                 }
                 "--seed" => {
-                    let value = args
-                        .next()
-                        .unwrap_or_else(|| panic!("--seed requires a value"));
+                    let value = args.next().ok_or("--seed requires a value")?;
                     flags.seed = Some(
                         value
                             .parse()
-                            .unwrap_or_else(|_| panic!("--seed expects a u64, got {value:?}")),
+                            .map_err(|_| format!("--seed expects a u64, got {value:?}"))?,
                     );
                 }
                 _ => rest.push(arg),
             }
         }
-        (flags, rest)
+        Ok((flags, rest))
     }
 }
 

@@ -395,13 +395,10 @@ mod tests {
     /// Satellite: every malformed or failing request must answer with a
     /// structured `{code, message}` error and leave the resident market
     /// fully functional — errors poison neither the connection nor the
-    /// state. Runs on the incremental engine so the error paths cross
-    /// the same driver the serving layer deploys for large markets.
+    /// state.
     #[test]
     fn protocol_errors_do_not_poison_the_resident_market() {
-        let server = MarketServer::bind("127.0.0.1:0", 2)
-            .unwrap()
-            .with_engine(pan_core::Engine::Incremental);
+        let server = MarketServer::bind("127.0.0.1:0", 2).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.serve(&|_spec| Ok(arbitrage_market())));
 
@@ -460,12 +457,11 @@ mod tests {
         ));
         assert_eq!(error_code(&recv()), "corrupt_checkpoint");
 
-        // The resident market survived it all: stats answers on the
-        // incremental engine and stepping still adopts the arbitrage.
+        // The resident market survived it all: stats answers and
+        // stepping still adopts the arbitrage.
         send(r#"{"v":2,"verb":"stats","market":"m1"}"#);
         let stats = recv();
         assert_ok(&stats);
-        assert_eq!(field(&stats, "engine"), &Value::Str("incremental".into()));
         assert_eq!(
             field(&stats, "label"),
             &Value::Str("arbitrage fixture".into())

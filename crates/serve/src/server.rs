@@ -57,7 +57,7 @@ use std::time::{Duration, Instant};
 
 use serde::Value;
 
-use pan_core::dynamics::{advise, Engine, EvolutionDriver, MarketSnapshot, MarketState};
+use pan_core::dynamics::{advise, EvolutionDriver, MarketSnapshot, MarketState};
 use pan_core::{DiscoveryReport, EvolutionConfig, PairOutcome};
 use pan_runtime::{ScenarioSweep, ThreadPool};
 
@@ -149,13 +149,12 @@ impl MarketSession {
     }
 }
 
-/// Handler-visible service state: the pool, engine choice, cap, and the
+/// Handler-visible service state: the pool, the cap, and the
 /// session table. Market ids come off a monotonic counter starting at 1
 /// (never reused within a server lifetime), so the first `load` of a
 /// fresh server is always `"m1"` — static scripts can rely on it.
 struct Service {
     pool: ThreadPool,
-    engine: Engine,
     max_markets: usize,
     next_id: u64,
     markets: BTreeMap<u64, MarketSession>,
@@ -198,7 +197,7 @@ impl Service {
         let session = MarketSession {
             id,
             state,
-            driver: driver.with_engine(self.engine),
+            driver,
             seed,
             label,
             cache: HashMap::new(),
@@ -223,7 +222,6 @@ enum Flow {
 pub struct MarketServer {
     listener: TcpListener,
     pool: ThreadPool,
-    engine: Engine,
     max_markets: usize,
     slow_log: Duration,
 }
@@ -368,20 +366,9 @@ impl MarketServer {
         Ok(MarketServer {
             listener,
             pool: ThreadPool::new(threads),
-            engine: Engine::Full,
             max_markets: DEFAULT_MAX_MARKETS,
             slow_log: LOG_THRESHOLD,
         })
-    }
-
-    /// Selects the discovery engine every resident market steps with
-    /// (default [`Engine::Full`]). The engine is an execution detail —
-    /// replies are byte-identical either way — so it is a server-level
-    /// choice, applied to every `load` and `restore`.
-    #[must_use]
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
     }
 
     /// Caps the session table (default [`DEFAULT_MAX_MARKETS`]); `load`
@@ -429,7 +416,6 @@ impl MarketServer {
         pan_telemetry::enable();
         let mut service = Service {
             pool: self.pool.clone(),
-            engine: self.engine,
             max_markets: self.max_markets,
             next_id: 1,
             markets: BTreeMap::new(),
@@ -746,15 +732,13 @@ fn handle_step(
             shock,
             ..*session.driver.config()
         };
-        let engine = session.driver.engine();
-        let driver =
+        session.driver =
             EvolutionDriver::resume(config, session.driver.rounds_done()).map_err(|e| {
                 WireError::new(
                     ErrorCode::InvalidConfig,
                     format!("invalid shock override: {e}"),
                 )
             })?;
-        session.driver = driver.with_engine(engine);
     }
     let sweep = ScenarioSweep::new(pool, session.seed);
     let mut stepped = 0usize;
@@ -832,11 +816,10 @@ fn handle_restore(
     id: Option<&Value>,
     client: &mut Client,
 ) -> Result<(), WireError> {
-    let engine = service.engine;
     let session = service.market_mut(market)?;
     let (state, driver, seed) = read_checkpoint(path)?;
     session.state = state;
-    session.driver = driver.with_engine(engine);
+    session.driver = driver;
     session.seed = seed;
     session.label = format!("checkpoint:{path}");
     // The restored state is a fresh instance whose generation counter
@@ -885,7 +868,6 @@ fn handle_stats(
                 ),
                 ("errors", object(errors)),
                 ("threads", to_value(&threads)),
-                ("engine", Value::Str(service.engine.to_string())),
                 ("max_markets", to_value(&service.max_markets)),
                 ("count", to_value(&service.markets.len())),
                 ("markets", Value::Seq(markets)),
@@ -928,7 +910,6 @@ fn handle_stats(
             ("cash_max", to_value(&cash_max)),
             ("seed", to_value(&session.seed)),
             ("threads", to_value(&threads)),
-            ("engine", Value::Str(session.driver.engine().to_string())),
         ],
     ));
     Ok(())
