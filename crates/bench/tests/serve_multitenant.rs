@@ -5,8 +5,12 @@
 //!
 //! This is the session-isolation contract of the serving layer: a
 //! market's trajectory depends only on its own (state, config, seed),
-//! never on what its neighbors in the session table are doing.
+//! never on what its neighbors in the session table are doing. The
+//! second test adds the ordering contract of a connection: requests
+//! pipelined on one connection are answered in request order, while
+//! another connection pipelines against the other market.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 
@@ -193,4 +197,101 @@ fn interleaved_sessions_match_isolated_trajectories_at_any_thread_count() {
             "market m2 diverged under interleaving at {threads} thread(s)"
         );
     }
+}
+
+/// One connection's pipelined script against a resident server: every
+/// round of `own` is stepped, with an advise on `other` after each
+/// step, all written in one go before any reply is read. Returns the
+/// stepped records after checking that the replies come back in
+/// request order (each step's `round` line, then its `step` summary,
+/// then the advise, each echoing its request's `id`).
+fn pipelined_session(addr: SocketAddr, own: &str, other: &str) -> Vec<RoundRecord> {
+    let mut client = Client::connect(addr);
+    let mut batch = String::new();
+    let mut expected = Vec::new();
+    for round in 0..ROUNDS as i64 {
+        let (step_id, advise_id) = (2 * round, 2 * round + 1);
+        writeln!(
+            batch,
+            r#"{{"v":2,"id":{step_id},"verb":"step","market":"{own}","rounds":1}}"#
+        )
+        .unwrap();
+        writeln!(
+            batch,
+            r#"{{"v":2,"id":{advise_id},"verb":"advise","market":"{other}","asn":1,"top":3}}"#
+        )
+        .unwrap();
+        expected.extend([
+            ("round", step_id, own),
+            ("step", step_id, own),
+            ("advise", advise_id, other),
+        ]);
+    }
+    client
+        .writer
+        .write_all(batch.as_bytes())
+        .expect("pipelined requests write");
+
+    let mut records = Vec::new();
+    for (verb, id, market) in expected {
+        let reply = client.recv_ok();
+        assert_eq!(
+            (reply.field("verb").unwrap(), reply.field("id").unwrap()),
+            (&Value::Str(verb.into()), &Value::I64(id)),
+            "session stepping {own}: reply out of request order: {reply:?}"
+        );
+        assert_eq!(reply.field("market").unwrap(), &Value::Str(market.into()));
+        if verb == "round" {
+            records.push(
+                RoundRecord::from_value(reply.field("record").unwrap())
+                    .expect("round records parse"),
+            );
+        }
+    }
+    records
+}
+
+#[test]
+fn pipelined_sessions_reply_in_request_order_and_match_isolated_trajectories() {
+    let reference_a = reference(23, 1);
+    let reference_b = reference(91, 1);
+
+    let server = MarketServer::bind("127.0.0.1:0", 2)
+        .unwrap()
+        .with_max_markets(2);
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.serve(&loader));
+    let mut control = Client::connect(addr);
+    control.send(r#"{"v":2,"verb":"load","market":{"seed":23}}"#);
+    assert_eq!(
+        control.recv_ok().field("market").unwrap(),
+        &Value::Str("m1".into())
+    );
+    control.send(r#"{"v":2,"verb":"load","market":{"seed":91}}"#);
+    assert_eq!(
+        control.recv_ok().field("market").unwrap(),
+        &Value::Str("m2".into())
+    );
+
+    // Both sessions pipeline at once, each stepping its own market and
+    // asking the other market for advice between its steps.
+    let session_a = std::thread::spawn(move || pipelined_session(addr, "m1", "m2"));
+    let session_b = std::thread::spawn(move || pipelined_session(addr, "m2", "m1"));
+    let rounds_a = session_a.join().expect("session m1 completes");
+    let rounds_b = session_b.join().expect("session m2 completes");
+
+    control.send(r#"{"v":2,"verb":"quit"}"#);
+    control.recv_ok();
+    handle.join().unwrap().unwrap();
+
+    assert_eq!(
+        serde_json::to_string(&zeroed(&rounds_a)).unwrap(),
+        serde_json::to_string(&reference_a).unwrap(),
+        "market m1 diverged under pipelined sessions"
+    );
+    assert_eq!(
+        serde_json::to_string(&zeroed(&rounds_b)).unwrap(),
+        serde_json::to_string(&reference_b).unwrap(),
+        "market m2 diverged under pipelined sessions"
+    );
 }

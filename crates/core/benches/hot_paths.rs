@@ -5,7 +5,9 @@
 //!   node's beneficiary-side deltas at fixed shares (amortized across
 //!   all pairs of a noise-free round);
 //! - [`derive_pair_transit`]: the per-pair, flow-independent exclusion
-//!   scan the full engine caches across static rounds;
+//!   walk the full engine caches across static rounds — on a sample of
+//!   candidate pairs, and on a stub/tier-1 pair, where the walk gallops
+//!   from the short list into the long one on both sides;
 //! - [`evaluate_candidate_with`]: the per-pair grid search that remains
 //!   on the hot path every round.
 //!
@@ -19,7 +21,7 @@ use std::hint::black_box;
 
 use pan_core::discovery::{
     derive_pair_transit, enumerate_candidates, evaluate_candidate_with, BatchContext,
-    CandidatePolicy, NodePrograms, PairScratch,
+    CandidatePair, CandidatePolicy, NodePrograms, PairScratch,
 };
 use pan_datasets::{InternetConfig, SyntheticInternet};
 use pan_econ::{CostFunction, DenseEconomics, FlowMatrix, PricingFunction};
@@ -64,6 +66,30 @@ fn hot_paths(c: &mut Criterion) {
             }
             black_box(excluded)
         });
+    });
+
+    // The most-connected provider-free AS against a stub: the stub's
+    // empty customer list gallops into the tier-1's provider/peer
+    // segments, and the stub's shorter provider and peer segments
+    // into the tier-1's customers.
+    let graph = &net.graph;
+    let tier1 = graph
+        .provider_free_ases()
+        .map(|asn| graph.index_of(asn).expect("listed ASes resolve"))
+        .max_by_key(|&i| graph.degree_of_index(i))
+        .expect("the synthetic internet has a tier-1 core");
+    let stub = graph
+        .stub_ases()
+        .map(|asn| graph.index_of(asn).expect("listed ASes resolve"))
+        .next()
+        .expect("the synthetic internet has stubs");
+    let stub_tier1 = CandidatePair {
+        x: stub.min(tier1),
+        y: stub.max(tier1),
+        peering_hops: 1,
+    };
+    group.bench_function("derive_pair_transit_stub_tier1", |b| {
+        b.iter(|| black_box(derive_pair_transit(&ctx, black_box(stub_tier1)).heap_bytes()));
     });
 
     group.bench_function("evaluate_candidate_with_24_pairs", |b| {

@@ -759,10 +759,91 @@ struct PartyProgram {
     segments: usize,
 }
 
+/// The §VI exclusion walk: calls `visit` with every position of
+/// `partner`'s provider and peer segments (`..e_end` of its packed row)
+/// that holds `beneficiary` itself or one of `beneficiary`'s customers,
+/// in ascending position order — exactly the entries a mutuality grant
+/// leaves out.
+///
+/// Each class segment and the customer segment are both sorted by ASN,
+/// so per segment the walk steps through the shorter of the two lists
+/// and gallops into the longer one ([`gallop`]): `O(s·log(l/s + 1))`
+/// ASN comparisons for lengths `s ≤ l`. A stub beneficiary against a
+/// hub partner costs a few binary probes instead of the hub's whole
+/// segment; lists of equal length cost a small constant over a merge.
+fn for_each_excluded(
+    graph: &AsGraph,
+    beneficiary: u32,
+    partner: u32,
+    mut visit: impl FnMut(usize),
+) {
+    let (p_end, e_end) = graph.class_boundaries(partner);
+    let row = graph.neighbor_indices(partner);
+    let customers = graph.customer_indices(beneficiary);
+    for (start, end) in [(0, p_end), (p_end, e_end)] {
+        let segment = &row[start..end];
+        if customers.len() < segment.len() {
+            // The beneficiary joins its customers in ASN order (it is
+            // never its own customer), and each is looked up in turn.
+            let own = graph.asn_at(beneficiary);
+            let split = customers.partition_point(|&c| graph.asn_at(c) < own);
+            let needles = customers[..split]
+                .iter()
+                .chain(std::iter::once(&beneficiary))
+                .chain(&customers[split..]);
+            let mut at = 0;
+            for &needle in needles {
+                at = gallop(graph, segment, at, graph.asn_at(needle));
+                if at == segment.len() {
+                    break;
+                }
+                if segment[at] == needle {
+                    visit(start + at);
+                    at += 1;
+                }
+            }
+        } else {
+            let mut c = 0;
+            for (at, &t) in segment.iter().enumerate() {
+                if t != beneficiary {
+                    c = gallop(graph, customers, c, graph.asn_at(t));
+                    if customers.get(c) != Some(&t) {
+                        continue;
+                    }
+                    c += 1;
+                }
+                visit(start + at);
+            }
+        }
+    }
+}
+
+/// First index `i >= from` of the ASN-sorted `list` whose ASN is not
+/// below `key`. Probes `from`, `from + 1`, `from + 3`, `from + 7`, …
+/// until one is not below, then binary-searches the last stretch:
+/// `O(log(i - from + 1))` comparisons, as few as a merge step when the
+/// answer is `from` or `from + 1`.
+fn gallop(graph: &AsGraph, list: &[u32], from: usize, key: Asn) -> usize {
+    let rest = &list[from..];
+    let below = |&node: &u32| graph.asn_at(node) < key;
+    // Every entry of `rest[..below_end]` is below `key`.
+    let mut below_end = 0;
+    let mut probe = 0;
+    while probe < rest.len() && below(&rest[probe]) {
+        below_end = probe + 1;
+        probe = 2 * probe + 1;
+    }
+    let hi = probe.min(rest.len());
+    from + below_end + rest[below_end..hi].partition_point(below)
+}
+
 /// The mutuality grant targets for `beneficiary` via `partner`:
 /// partner's providers and peers, minus the beneficiary itself and minus
 /// the beneficiary's customers (§VI rule) — written into
-/// `targets` as positions in the **partner's** packed row.
+/// `targets` as positions in the **partner's** packed row, ascending.
+/// The excluded positions come from [`for_each_excluded`]; everything
+/// between them is pushed as a run, so the cost is the exclusion walk
+/// plus one push per target, with no membership probe per target.
 pub(crate) fn collect_targets(
     graph: &AsGraph,
     beneficiary: u32,
@@ -770,16 +851,12 @@ pub(crate) fn collect_targets(
     targets: &mut Vec<u32>,
 ) {
     let (_, e_end) = graph.class_boundaries(partner);
-    let row = graph.neighbor_indices(partner);
-    for (pos, &t) in row[..e_end].iter().enumerate() {
-        if t == beneficiary {
-            continue;
-        }
-        if graph.has_neighbor_kind(beneficiary, t, NeighborKind::Customer) {
-            continue;
-        }
-        targets.push(pos as u32);
-    }
+    let mut next = 0;
+    for_each_excluded(graph, beneficiary, partner, |pos| {
+        targets.extend(next as u32..pos as u32);
+        next = pos + 1;
+    });
+    targets.extend(next as u32..e_end as u32);
 }
 
 /// Evaluates one candidate pair on the dense tables over the uniform
@@ -1312,11 +1389,13 @@ pub(crate) struct SideTransit {
     excl_nonlinear: Vec<u32>,
 }
 
-/// Derives the transit structure of `pair`; see [`PairTransit`]. The
-/// exclusion walk merges the partner's ASN-sorted provider and peer
-/// segments against the beneficiary's ASN-sorted customer segment, so
-/// the cost is `O(provpeer(partner) + customers(beneficiary))` — no
-/// per-target membership probes and no materialized target list.
+/// Derives the transit structure of `pair`; see [`PairTransit`]. Each
+/// side folds the positions of the §VI exclusion walk
+/// (`for_each_excluded`) in ascending order, so the cost per side is
+/// `O(s·log(l/s + 1))` for the shorter `s` and longer `l` of the
+/// beneficiary's customer segment and each of the partner's provider
+/// and peer segments — no per-target membership probes and no
+/// materialized target list.
 pub fn derive_pair_transit(ctx: &BatchContext<'_>, pair: CandidatePair) -> PairTransit {
     PairTransit {
         sides: [
@@ -1330,10 +1409,7 @@ pub fn derive_pair_transit(ctx: &BatchContext<'_>, pair: CandidatePair) -> PairT
 /// `beneficiary`'s grant targets in `partner`'s row.
 fn derive_side_transit(ctx: &BatchContext<'_>, beneficiary: u32, partner: u32) -> SideTransit {
     let graph = ctx.graph;
-    let (p_end, e_end) = graph.class_boundaries(partner);
-    let row = graph.neighbor_indices(partner);
-    let (_, b_e_end) = graph.class_boundaries(beneficiary);
-    let customers = &graph.neighbor_indices(beneficiary)[b_e_end..];
+    let (_, e_end) = graph.class_boundaries(partner);
     let mut excluded = 0usize;
     let mut excl_lin = 0.0f64;
     let mut excl_nonlinear = Vec::new();
@@ -1342,30 +1418,14 @@ fn derive_side_transit(ctx: &BatchContext<'_>, beneficiary: u32, partner: u32) -
     // `excl_lin` bit-identical (see `signed_rate_row`).
     let rates = ctx.econ.signed_rate_row(partner);
     let nonlinear = ctx.econ.nonlinear_row(partner);
-    // Each class segment is sorted by neighbor ASN, as is the customer
-    // segment — one two-pointer pass per segment finds every excluded
-    // position in ascending position order.
-    for (start, end) in [(0, p_end), (p_end, e_end)] {
-        let mut c = 0usize;
-        for (pos, &t) in row[start..end].iter().enumerate() {
-            let pos = start + pos;
-            if t != beneficiary {
-                let target_asn = graph.asn_at(t);
-                while c < customers.len() && graph.asn_at(customers[c]) < target_asn {
-                    c += 1;
-                }
-                if customers.get(c) != Some(&t) {
-                    continue;
-                }
-            }
-            excluded += 1;
-            if nonlinear[pos] {
-                excl_nonlinear.push(pos as u32);
-            } else {
-                excl_lin += rates[pos];
-            }
+    for_each_excluded(graph, beneficiary, partner, |pos| {
+        excluded += 1;
+        if nonlinear[pos] {
+            excl_nonlinear.push(pos as u32);
+        } else {
+            excl_lin += rates[pos];
         }
-    }
+    });
     SideTransit {
         nsegs: (e_end - excluded) as u32,
         provider_adjacent: graph.has_neighbor_kind(beneficiary, partner, NeighborKind::Provider),
@@ -2620,5 +2680,207 @@ pub(crate) mod tests {
         assert_eq!((adopted[0].x, adopted[0].y), (Asn::new(1), Asn::new(10)));
         assert_eq!((adopted[1].x, adopted[1].y), (Asn::new(30), Asn::new(31)));
         assert_eq!(keys.len(), 9, "only outcomes above the threshold are keyed");
+    }
+
+    /// The naive §VI exclusion filter the walk replaces: every position
+    /// of `partner`'s provider/peer segments holding the beneficiary or
+    /// one of its customers, probed one target at a time. Test-only
+    /// reference for [`for_each_excluded`].
+    fn naive_excluded(graph: &AsGraph, beneficiary: u32, partner: u32) -> Vec<usize> {
+        let (_, e_end) = graph.class_boundaries(partner);
+        graph.neighbor_indices(partner)[..e_end]
+            .iter()
+            .enumerate()
+            .filter(|&(_, &t)| {
+                t == beneficiary || graph.has_neighbor_kind(beneficiary, t, NeighborKind::Customer)
+            })
+            .map(|(pos, _)| pos)
+            .collect()
+    }
+
+    /// The two-pointer merge of each provider/peer segment against the
+    /// whole customer segment that `derive_side_transit` ran before the
+    /// galloping walk: `(nsegs, excl_lin, excl_nonlinear)`.
+    fn merge_walk_side(
+        ctx: &BatchContext<'_>,
+        beneficiary: u32,
+        partner: u32,
+    ) -> (u32, f64, Vec<u32>) {
+        let graph = ctx.graph;
+        let (p_end, e_end) = graph.class_boundaries(partner);
+        let row = graph.neighbor_indices(partner);
+        let customers = graph.customer_indices(beneficiary);
+        let rates = ctx.econ.signed_rate_row(partner);
+        let nonlinear = ctx.econ.nonlinear_row(partner);
+        let (mut excluded, mut excl_lin, mut excl_nonlinear) = (0usize, 0.0f64, Vec::new());
+        for (start, end) in [(0, p_end), (p_end, e_end)] {
+            let mut c = 0usize;
+            for (pos, &t) in row[start..end].iter().enumerate() {
+                let pos = start + pos;
+                if t != beneficiary {
+                    let target_asn = graph.asn_at(t);
+                    while c < customers.len() && graph.asn_at(customers[c]) < target_asn {
+                        c += 1;
+                    }
+                    if customers.get(c) != Some(&t) {
+                        continue;
+                    }
+                }
+                excluded += 1;
+                if nonlinear[pos] {
+                    excl_nonlinear.push(pos as u32);
+                } else {
+                    excl_lin += rates[pos];
+                }
+            }
+        }
+        ((e_end - excluded) as u32, excl_lin, excl_nonlinear)
+    }
+
+    /// A random CSR graph of `n` nodes: ASNs are unrelated to index
+    /// order (`keys` permutes them), the first three nodes are dense
+    /// hubs, and every provider sits at a lower index than its
+    /// customers (an acyclic hierarchy). `raw` picks each pair's
+    /// relationship.
+    fn exclusion_graph() -> impl Strategy<Value = AsGraph> {
+        (2usize..40)
+            .prop_flat_map(|n| {
+                (
+                    prop::collection::vec(0u32..1000, n),
+                    prop::collection::vec(0u8..20, n * (n - 1) / 2),
+                )
+            })
+            .prop_map(|(keys, raw)| {
+                let n = keys.len();
+                let asn_of = |i: usize| Asn::new(keys[i] * 64 + i as u32 + 1);
+                let mut builder = pan_topology::AsGraphBuilder::new();
+                for i in 0..n {
+                    builder.add_as(asn_of(i));
+                }
+                let mut kinds = raw.into_iter();
+                for i in 0..n {
+                    for j in i + 1..n {
+                        let kind = kinds.next().expect("one byte per pair");
+                        let (transit, peer) = if i < 3 { (8, 12) } else { (2, 4) };
+                        let relationship = if kind < transit {
+                            pan_topology::Relationship::ProviderToCustomer
+                        } else if kind < peer {
+                            pan_topology::Relationship::PeerToPeer
+                        } else {
+                            continue;
+                        };
+                        builder
+                            .add_link(asn_of(i), asn_of(j), relationship)
+                            .unwrap();
+                    }
+                }
+                builder.build().expect("providers precede customers")
+            })
+    }
+
+    /// Checks the exclusion walk, [`collect_targets`] and
+    /// [`derive_pair_transit`] for every ordered pair of `graph` against
+    /// the naive filter and the merge walk, and reports which cases the
+    /// graph exercised: the beneficiary in the partner's provider
+    /// segment, in its peer segment, absent; an empty segment;
+    /// customers shorter than a non-empty segment, customers at least
+    /// as long as one; a customer excluded by each walk direction.
+    fn check_exclusion_walk(graph: &AsGraph) -> [bool; 8] {
+        let econ = DenseEconomics::build(
+            graph,
+            |p, c| {
+                let mix = (p.get() * 31 + c.get() * 17) % 97;
+                if mix % 5 == 0 {
+                    PricingFunction::congestion(0.3, 1.5).unwrap()
+                } else {
+                    PricingFunction::per_usage(0.1 + f64::from(mix) / 7.0).unwrap()
+                }
+            },
+            |_| PricingFunction::per_usage(2.5).unwrap(),
+            |_| CostFunction::linear(0.05).unwrap(),
+        );
+        let flows = FlowMatrix::zeros(graph);
+        let ctx = BatchContext::new(graph, &econ, &flows).unwrap();
+        let mut covered = [false; 8];
+        let mut targets = Vec::new();
+        let n = graph.node_count() as u32;
+        for bene in 0..n {
+            for partner in (0..n).filter(|&p| p != bene) {
+                let expected = naive_excluded(graph, bene, partner);
+                let mut walked = Vec::new();
+                for_each_excluded(graph, bene, partner, |pos| walked.push(pos));
+                assert_eq!(walked, expected, "beneficiary {bene}, partner {partner}");
+
+                let (p_end, e_end) = graph.class_boundaries(partner);
+                targets.clear();
+                collect_targets(graph, bene, partner, &mut targets);
+                let complement: Vec<u32> = (0..e_end)
+                    .filter(|pos| !expected.contains(pos))
+                    .map(|pos| pos as u32)
+                    .collect();
+                assert_eq!(targets, complement, "beneficiary {bene}, partner {partner}");
+
+                let pair = CandidatePair {
+                    x: bene.min(partner),
+                    y: bene.max(partner),
+                    peering_hops: 1,
+                };
+                let side = &derive_pair_transit(&ctx, pair).sides[usize::from(bene != pair.x)];
+                let (nsegs, excl_lin, excl_nonlinear) = merge_walk_side(&ctx, bene, partner);
+                assert_eq!(side.nsegs, nsegs);
+                assert_eq!(side.excl_lin.to_bits(), excl_lin.to_bits());
+                assert_eq!(side.excl_nonlinear, excl_nonlinear);
+
+                let row = graph.neighbor_indices(partner);
+                let customers = graph.customer_indices(bene).len();
+                match row[..e_end].iter().position(|&t| t == bene) {
+                    Some(pos) if pos < p_end => covered[0] = true,
+                    Some(_) => covered[1] = true,
+                    None => covered[2] = true,
+                }
+                for (start, end) in [(0, p_end), (p_end, e_end)] {
+                    let len = end - start;
+                    let hits = expected
+                        .iter()
+                        .filter(|&&pos| (start..end).contains(&pos) && row[pos] != bene)
+                        .count();
+                    covered[3] |= len == 0;
+                    covered[4] |= customers > 0 && customers < len;
+                    covered[5] |= len > 0 && customers >= len;
+                    covered[6] |= customers < len && hits > 0;
+                    covered[7] |= customers >= len && hits > 0;
+                }
+            }
+        }
+        covered
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The galloping exclusion walk yields exactly the naive
+        /// filter's positions in the same order, `collect_targets` is
+        /// their complement, and `derive_pair_transit` folds them
+        /// bit-identically to the merge walk it replaced.
+        #[test]
+        fn exclusion_walk_matches_the_naive_filter_and_the_merge_walk(
+            graph in exclusion_graph(),
+        ) {
+            check_exclusion_walk(&graph);
+        }
+    }
+
+    #[test]
+    fn exclusion_graphs_cover_every_walk_case() {
+        let strategy = exclusion_graph();
+        let mut rng = proptest::new_rng(7);
+        let mut covered = [false; 8];
+        for _ in 0..16 {
+            let graph = strategy.sample_value(&mut rng);
+            for (seen, now) in covered.iter_mut().zip(check_exclusion_walk(&graph)) {
+                *seen |= now;
+            }
+        }
+        assert_eq!(covered, [true; 8]);
     }
 }

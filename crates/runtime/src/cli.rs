@@ -45,17 +45,6 @@ impl RunFlags {
     /// (**no** leading program name). Unrecognized arguments are
     /// returned untouched, in order.
     ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed or missing flag values;
-    /// [`try_parse`](Self::try_parse) returns the message instead.
-    pub fn parse(args: impl Iterator<Item = String>) -> (Self, Vec<String>) {
-        Self::try_parse(args).unwrap_or_else(|message| panic!("{message}"))
-    }
-
-    /// [`parse`](Self::parse) for callers that report a bad command line
-    /// themselves.
-    ///
     /// # Errors
     ///
     /// Returns a one-line message naming the flag when its value is
@@ -95,11 +84,12 @@ impl RunOptions {
     /// order, so callers with extra positional arguments (e.g. a CAIDA
     /// file path) can consume them afterwards.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on malformed or missing flag values.
-    pub fn parse(args: impl Iterator<Item = String>) -> (Self, Vec<String>) {
-        let (flags, rest) = RunFlags::parse(args.skip(1));
+    /// The message of [`RunFlags::try_parse`] for a missing or
+    /// malformed flag value.
+    pub fn try_parse(args: impl Iterator<Item = String>) -> Result<(Self, Vec<String>), String> {
+        let (flags, rest) = RunFlags::try_parse(args.skip(1))?;
         let mut options = RunOptions::default();
         if let Some(threads) = flags.threads {
             options.threads = threads;
@@ -107,13 +97,22 @@ impl RunOptions {
         if let Some(seed) = flags.seed {
             options.seed = seed;
         }
-        (options, rest)
+        Ok((options, rest))
     }
 
-    /// Parses from [`std::env::args`].
+    /// Parses from [`std::env::args`]. A missing or malformed flag
+    /// value prints the message and the shared usage to stderr and
+    /// exits with code 2.
     #[must_use]
     pub fn from_env() -> (Self, Vec<String>) {
-        Self::parse(std::env::args())
+        Self::try_parse(std::env::args()).unwrap_or_else(|message| {
+            let program = std::env::args().next().unwrap_or_default();
+            let name = std::path::Path::new(&program)
+                .file_name()
+                .map_or(program.clone(), |name| name.to_string_lossy().into_owned());
+            eprintln!("error: {message}\nusage: {name} [--threads <N>] [--seed <u64>]");
+            std::process::exit(2);
+        })
     }
 
     /// The thread pool configured by `--threads`.
@@ -141,10 +140,10 @@ mod tests {
 
     #[test]
     fn defaults_and_flags() {
-        let (o, rest) = RunOptions::parse(args(&[]));
+        let (o, rest) = RunOptions::try_parse(args(&[])).unwrap();
         assert_eq!(o, RunOptions::default());
         assert!(rest.is_empty());
-        let (o, rest) = RunOptions::parse(args(&["--threads", "3", "--seed", "9"]));
+        let (o, rest) = RunOptions::try_parse(args(&["--threads", "3", "--seed", "9"])).unwrap();
         assert_eq!(o.threads, 3);
         assert_eq!(o.seed, 9);
         assert_eq!(o.pool().threads(), 3);
@@ -154,14 +153,25 @@ mod tests {
 
     #[test]
     fn zero_threads_clamp_and_positionals_pass_through() {
-        let (o, rest) = RunOptions::parse(args(&["file.txt", "--threads", "0", "--flag"]));
+        let (o, rest) =
+            RunOptions::try_parse(args(&["file.txt", "--threads", "0", "--flag"])).unwrap();
         assert_eq!(o.threads, 1);
         assert_eq!(rest, vec!["file.txt".to_owned(), "--flag".to_owned()]);
     }
 
     #[test]
-    #[should_panic(expected = "--seed expects a u64")]
-    fn malformed_seed_panics() {
-        let _ = RunOptions::parse(args(&["--seed", "abc"]));
+    fn malformed_values_are_errors() {
+        assert_eq!(
+            RunOptions::try_parse(args(&["--seed", "abc"])),
+            Err("--seed expects a u64, got \"abc\"".to_owned())
+        );
+        assert_eq!(
+            RunOptions::try_parse(args(&["--threads", "many"])),
+            Err("--threads expects a count, got \"many\"".to_owned())
+        );
+        assert_eq!(
+            RunOptions::try_parse(args(&["--threads"])),
+            Err("--threads requires a value".to_owned())
+        );
     }
 }

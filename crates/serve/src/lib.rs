@@ -31,8 +31,10 @@
 //! Replies are deterministic at any worker-thread count, and
 //! interleaved sessions step independently — each market's trajectory
 //! is byte-identical to the same market run in isolation, the property
-//! the CI `serve-smoke` job and the `serve_multitenant` integration
-//! test check against uninterrupted `evolve` trajectories.
+//! the CI `serve-smoke` job and `pan-bench`'s `serve_multitenant`
+//! integration tests check against uninterrupted `evolve` trajectories.
+//! Requests pipelined on one connection are answered in request order
+//! (also pinned there, with two connections pipelining at once).
 //!
 //! ```no_run
 //! use pan_serve::{LoadedMarket, MarketServer};
