@@ -49,6 +49,11 @@ fn unknown_flags_print_usage_to_stderr_and_exit_two() {
     let binary = env!("CARGO_BIN_EXE_evolve");
     let output = run(binary, &["--quick", "--engine", "full"]);
     assert_usage_error(binary, &output, "unknown flags [\"--engine\", \"full\"]");
+    let binary = env!("CARGO_BIN_EXE_discover");
+    let output = run(binary, &["--quick", "--engine", "legacy"]);
+    assert_usage_error(binary, &output, "unknown flags [\"--engine\", \"legacy\"]");
+    let output = run(binary, &["--quick", "--limit", "5"]);
+    assert_usage_error(binary, &output, "unknown flags [\"--limit\", \"5\"]");
 }
 
 #[test]
@@ -59,8 +64,8 @@ fn malformed_flag_values_print_usage_to_stderr_and_exit_two() {
     let output = run(binary, &["--quick", "--ases"]);
     assert_usage_error(binary, &output, "--ases requires a value");
     let binary = env!("CARGO_BIN_EXE_discover");
-    let output = run(binary, &["--quick", "--limit", "x"]);
-    assert_usage_error(binary, &output, "--limit expects a count, got \"x\"");
+    let output = run(binary, &["--quick", "--bench-out"]);
+    assert_usage_error(binary, &output, "--bench-out requires a value");
 }
 
 /// Exit code 2, nothing on stdout, and `message` plus the usage on

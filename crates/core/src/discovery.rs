@@ -498,12 +498,12 @@ pub struct DiscoveryReport {
 impl DiscoveryReport {
     /// Assembles a report from evaluated outcomes: aggregate counts,
     /// the canonical ranking (surplus descending, ASN-pair tie-break),
-    /// and top-`top` truncation (`0` = keep all). Both the dense sweep
-    /// and the legacy comparison engine in `pan-bench` build their
-    /// reports here, so their outputs stay comparable by construction.
-    /// The evolution engine does not sort a report: it shares this
-    /// function's comparator and aggregate sums, but ranks only the
-    /// outcomes its adoption scan reads.
+    /// and top-`top` truncation (`0` = keep all). The discovery sweep
+    /// and per-AS `advise` build their reports here, so their outputs
+    /// stay comparable by construction. The evolution engine does not
+    /// sort a report: it shares this function's comparator and
+    /// aggregate sums, but ranks only the outcomes its adoption scan
+    /// reads.
     ///
     /// Surpluses are ordered by [`f64::total_cmp`], so assembly never
     /// panics on unusual inputs; the engines themselves reject
@@ -759,6 +759,76 @@ struct PartyProgram {
     segments: usize,
 }
 
+impl PartyProgram {
+    /// An empty program for `node` with `segments` grant targets, its
+    /// end-host price and internal cost classified as linear or not.
+    fn new(ctx: &BatchContext<'_>, node: u32, segments: usize) -> PartyProgram {
+        PartyProgram {
+            node,
+            lin_r: 0.0,
+            lin_a: 0.0,
+            total_r: 0.0,
+            total_a: 0.0,
+            end_host_a: 0.0,
+            end_host_linear: ctx.econ.end_host_price(node).linear_rate(),
+            internal_linear: ctx.econ.internal_cost(node).linear_rate(),
+            base_total: 0.0,
+            segments,
+        }
+    }
+
+    /// Folds the per-party scalars once the row deltas are in: linear
+    /// end-host revenue and linear internal cost collapse into the
+    /// coefficients; a nonlinear internal cost prices per grid point
+    /// against the baseline total, read here once.
+    fn fold_scalars(&mut self, ctx: &BatchContext<'_>) {
+        if self.end_host_a != 0.0 {
+            if let Some(rate) = self.end_host_linear {
+                self.lin_a += rate * self.end_host_a;
+            }
+        }
+        match self.internal_linear {
+            Some(rate) => {
+                self.lin_r -= rate * self.total_r;
+                self.lin_a -= rate * self.total_a;
+            }
+            None => self.base_total = ctx.total(self.node),
+        }
+    }
+
+    /// The party's utility change at the uniform operating point
+    /// `(r, a)`: the linear collapse plus the nonlinear spill, end-host
+    /// price and internal cost priced exactly at that point.
+    fn utility(
+        &self,
+        ctx: &BatchContext<'_>,
+        nonlinear: &[(f64, f64, f64, u32)],
+        r: f64,
+        a: f64,
+    ) -> Result<f64> {
+        let mut u = self.lin_r * r + self.lin_a * a;
+        for &(f, dr, da, pos) in nonlinear {
+            let entry = ctx.econ.entry(self.node, pos as usize);
+            u += entry.utility_delta(f, dr * r + da * a)?;
+        }
+        if self.end_host_linear.is_none() && self.end_host_a != 0.0 {
+            let f = ctx.flows.end_host(self.node);
+            let price = ctx.econ.end_host_price(self.node);
+            u += price.price(f + self.end_host_a * a)? - price.price(f)?;
+        }
+        if self.internal_linear.is_none() {
+            let total = self.base_total;
+            let delta = self.total_r * r + self.total_a * a;
+            let cost = ctx.econ.internal_cost(self.node);
+            u -= cost.eval((total + delta).max(0.0))? - cost.eval(total)?;
+        }
+        if !u.is_finite() {
+            return Err(AgreementError::InvalidUtility { value: u });
+        }
+        Ok(u)
+    }
+}
+
 /// The §VI exclusion walk: calls `visit` with every position of
 /// `partner`'s provider and peer segments (`..e_end` of its packed row)
 /// that holds `beneficiary` itself or one of `beneficiary`'s customers,
@@ -909,30 +979,8 @@ pub fn evaluate_candidate(
 
     // Phase 2: accumulate per-entry (r, a) coefficients for both rows.
     let mut programs = [
-        PartyProgram {
-            node: x,
-            lin_r: 0.0,
-            lin_a: 0.0,
-            total_r: 0.0,
-            total_a: 0.0,
-            end_host_a: 0.0,
-            end_host_linear: ctx.econ.end_host_price(x).linear_rate(),
-            internal_linear: ctx.econ.internal_cost(x).linear_rate(),
-            base_total: 0.0,
-            segments: sx.targets.len(),
-        },
-        PartyProgram {
-            node: y,
-            lin_r: 0.0,
-            lin_a: 0.0,
-            total_r: 0.0,
-            total_a: 0.0,
-            end_host_a: 0.0,
-            end_host_linear: ctx.econ.end_host_price(y).linear_rate(),
-            internal_linear: ctx.econ.internal_cost(y).linear_rate(),
-            base_total: 0.0,
-            segments: sy.targets.len(),
-        },
+        PartyProgram::new(ctx, x, sx.targets.len()),
+        PartyProgram::new(ctx, y, sy.targets.len()),
     ];
 
     // Beneficiary-side deltas, and the induced partner-side transit.
@@ -1028,25 +1076,37 @@ pub fn evaluate_candidate(
         }
         // End-host revenue from attraction (a scalar, not a row entry).
         program.total_a += program.end_host_a;
-        if program.end_host_a != 0.0 {
-            if let Some(rate) = program.end_host_linear {
-                program.lin_a += rate * program.end_host_a;
-            }
-        }
-        // Linear internal cost collapses too; a nonlinear one prices
-        // against the baseline total, read once here instead of per
-        // grid point.
-        match program.internal_linear {
-            Some(rate) => {
-                program.lin_r -= rate * program.total_r;
-                program.lin_a -= rate * program.total_a;
-            }
-            None => program.base_total = ctx.total(node),
-        }
+        program.fold_scalars(ctx);
     }
 
-    // Phase 4: scan the operating-point grid (grid >= 2 was validated on
-    // entry, so `step` is finite).
+    let [sx, sy] = &scratch.side;
+    scan_operating_points(
+        ctx,
+        &programs,
+        [&sx.nonlinear, &sy.nonlinear],
+        (volume_r, volume_a),
+        pair,
+        (reroute_share, attract_share),
+        grid,
+    )
+}
+
+/// Phases 4–5 of both dense evaluators: scans the uniform
+/// operating-point grid over the two collapsed party programs (plus each
+/// party's nonlinear spill, priced per point) and concludes the
+/// flow-volume NBS (Eq. 9) and cash (Eq. 10–11) optima. `volume` holds
+/// the agreement's total rerouted volume per unit of `r` and attracted
+/// volume per unit of `a`, for the "any volume" conclusion test.
+/// `grid >= 2` is validated by the callers, so `step` is finite.
+fn scan_operating_points(
+    ctx: &BatchContext<'_>,
+    programs: &[PartyProgram; 2],
+    nonlinear: [&[(f64, f64, f64, u32)]; 2],
+    (volume_r, volume_a): (f64, f64),
+    pair: CandidatePair,
+    (reroute_share, attract_share): (f64, f64),
+    grid: usize,
+) -> Result<PairOutcome> {
     let step = 1.0 / (grid - 1) as f64;
     let mut best_fv: Option<(f64, f64, f64, f64)> = None;
     let mut best_fv_score = f64::NEG_INFINITY;
@@ -1056,31 +1116,8 @@ pub fn evaluate_candidate(
         let r = ri as f64 * step;
         for ai in 0..grid {
             let a = ai as f64 * step;
-            let mut utilities = [0.0f64; 2];
-            for (side, program) in programs.iter().enumerate() {
-                let mut u = program.lin_r * r + program.lin_a * a;
-                let s = &scratch.side[side];
-                for &(f, dr, da, pos) in &s.nonlinear {
-                    let entry = ctx.econ.entry(program.node, pos as usize);
-                    u += entry.utility_delta(f, dr * r + da * a)?;
-                }
-                if program.end_host_linear.is_none() && program.end_host_a != 0.0 {
-                    let f = ctx.flows.end_host(program.node);
-                    let price = ctx.econ.end_host_price(program.node);
-                    u += price.price(f + program.end_host_a * a)? - price.price(f)?;
-                }
-                if program.internal_linear.is_none() {
-                    let total = program.base_total;
-                    let delta = program.total_r * r + program.total_a * a;
-                    let cost = ctx.econ.internal_cost(program.node);
-                    u -= cost.eval((total + delta).max(0.0))? - cost.eval(total)?;
-                }
-                if !u.is_finite() {
-                    return Err(AgreementError::InvalidUtility { value: u });
-                }
-                utilities[side] = u;
-            }
-            let (ux, uy) = (utilities[0], utilities[1]);
+            let ux = programs[0].utility(ctx, nonlinear[0], r, a)?;
+            let uy = programs[1].utility(ctx, nonlinear[1], r, a)?;
             if ux >= -UTILITY_TOLERANCE && uy >= -UTILITY_TOLERANCE {
                 let score = ux.max(0.0) * uy.max(0.0) + 1e-7 * (ux + uy);
                 if score > best_fv_score {
@@ -1096,7 +1133,6 @@ pub fn evaluate_candidate(
         }
     }
 
-    // Phase 5: conclusions (same semantics as the §IV optimizers).
     let flow_volume = best_fv.and_then(|(r, a, ux, uy)| {
         let product = ux.max(0.0) * uy.max(0.0);
         let volume = r * volume_r + a * volume_a;
@@ -1118,8 +1154,8 @@ pub fn evaluate_candidate(
     };
     let surplus = cash.map_or(0.0, |c| c.joint_utility.max(0.0));
     Ok(PairOutcome {
-        x: graph.asn_at(x),
-        y: graph.asn_at(y),
+        x: ctx.graph.asn_at(pair.x),
+        y: ctx.graph.asn_at(pair.y),
         peering_hops: pair.peering_hops,
         shares: (reroute_share, attract_share),
         segments: (programs[0].segments, programs[1].segments),
@@ -1467,17 +1503,12 @@ pub fn evaluate_candidate_with(
             actual: grid,
         });
     }
-    let graph = ctx.graph;
     let (x, y) = (pair.x, pair.y);
     debug_assert!(x != y, "candidate pairs have distinct parties");
 
     let [sx, sy] = &mut scratch.side;
     sx.reset();
     sy.reset();
-    let nsegs = [
-        transit.sides[0].nsegs as usize,
-        transit.sides[1].nsegs as usize,
-    ];
 
     // Own-side programs. A side with no grant targets contributes
     // nothing (the per-pair evaluator skips it wholesale); a partner
@@ -1487,7 +1518,7 @@ pub fn evaluate_candidate_with(
     let mut own = [NodeSide::default(); 2];
     for (i, s) in [&mut *sx, &mut *sy].into_iter().enumerate() {
         let (bene, partner) = if i == 0 { (x, y) } else { (y, x) };
-        if nsegs[i] == 0 {
+        if transit.sides[i].nsegs == 0 {
             continue;
         }
         if transit.sides[i].provider_adjacent {
@@ -1505,11 +1536,17 @@ pub fn evaluate_candidate_with(
         }
     }
 
-    let mut lin = [(own[0].lin_r, own[0].lin_a), (own[1].lin_r, own[1].lin_a)];
-    let mut total = [
-        (own[0].total_r, own[0].total_a),
-        (own[1].total_r, own[1].total_a),
-    ];
+    // Built one at a time: `[0, 1].map(..)` measured ~25% slower on
+    // this path.
+    let party = |i: usize, node: u32| PartyProgram {
+        lin_r: own[i].lin_r,
+        lin_a: own[i].lin_a,
+        total_r: own[i].total_r,
+        total_a: own[i].total_a,
+        end_host_a: own[i].end_host_gain,
+        ..PartyProgram::new(ctx, node, transit.sides[i].nsegs as usize)
+    };
+    let mut parties = [party(0, x), party(1, y)];
     let mut volume_r = 0.0;
     let mut volume_a = 0.0;
 
@@ -1525,25 +1562,24 @@ pub fn evaluate_candidate_with(
         if side.nsegs == 0 {
             continue;
         }
-        let o = 1 - i;
-        let partner = if i == 0 { y } else { x };
+        let partner = &mut parties[1 - i];
         let nsegs_f = f64::from(side.nsegs);
         let per_seg_r = own_side.reroutable / nsegs_f;
         let per_seg_a = own_side.attractable / nsegs_f;
-        total[o].0 += own_side.reroutable + per_seg_r * nsegs_f;
-        total[o].1 += own_side.attractable + per_seg_a * nsegs_f;
+        partner.total_r += own_side.reroutable + per_seg_r * nsegs_f;
+        partner.total_a += own_side.attractable + per_seg_a * nsegs_f;
         volume_r += own_side.reroutable;
         volume_a += own_side.attractable;
-        let lin_sum = programs.transit_lin[partner as usize] - side.excl_lin;
-        lin[o].0 += lin_sum * per_seg_r;
-        lin[o].1 += lin_sum * per_seg_a;
+        let lin_sum = programs.transit_lin[partner.node as usize] - side.excl_lin;
+        partner.lin_r += lin_sum * per_seg_r;
+        partner.lin_a += lin_sum * per_seg_a;
         let merged = if i == 0 {
             &mut sy.nonlinear
         } else {
             &mut sx.nonlinear
         };
         let mut excl = side.excl_nonlinear.iter().copied().peekable();
-        for &pos in programs.transit_nonlinear_of(partner) {
+        for &pos in programs.transit_nonlinear_of(partner.node) {
             while excl.peek().is_some_and(|&e| e < pos) {
                 excl.next();
             }
@@ -1556,7 +1592,7 @@ pub fn evaluate_candidate_with(
                 slot.2 += per_seg_a;
             } else {
                 merged.push((
-                    ctx.flows.flow(partner, pos as usize),
+                    ctx.flows.flow(partner.node, pos as usize),
                     per_seg_r,
                     per_seg_a,
                     pos,
@@ -1565,113 +1601,18 @@ pub fn evaluate_candidate_with(
         }
     }
 
-    // Per-party scalar folds: linear end-host revenue and linear
-    // internal cost collapse into the coefficients; nonlinear ones are
-    // evaluated per grid point below, against the baseline total read
-    // here once.
-    let parties = [x, y];
-    let mut end_host_linear = [None, None];
-    let mut internal_linear = [None, None];
-    let mut base_total = [0.0f64; 2];
-    for i in 0..2 {
-        let node = parties[i];
-        end_host_linear[i] = ctx.econ.end_host_price(node).linear_rate();
-        internal_linear[i] = ctx.econ.internal_cost(node).linear_rate();
-        if own[i].end_host_gain != 0.0 {
-            if let Some(rate) = end_host_linear[i] {
-                lin[i].1 += rate * own[i].end_host_gain;
-            }
-        }
-        match internal_linear[i] {
-            Some(rate) => {
-                lin[i].0 -= rate * total[i].0;
-                lin[i].1 -= rate * total[i].1;
-            }
-            None => base_total[i] = ctx.total(node),
-        }
+    for party in &mut parties {
+        party.fold_scalars(ctx);
     }
-
-    // Operating-point grid and conclusions — the same scan as the
-    // per-pair evaluator, over the collapsed coefficients.
-    let step = 1.0 / (grid - 1) as f64;
-    let mut best_fv: Option<(f64, f64, f64, f64)> = None;
-    let mut best_fv_score = f64::NEG_INFINITY;
-    let mut best_cash: Option<(f64, f64, f64, f64)> = None;
-    let mut best_joint = f64::NEG_INFINITY;
-    for ri in 0..grid {
-        let r = ri as f64 * step;
-        for ai in 0..grid {
-            let a = ai as f64 * step;
-            let mut utilities = [0.0f64; 2];
-            for i in 0..2 {
-                let node = parties[i];
-                let mut u = lin[i].0 * r + lin[i].1 * a;
-                for &(f, dr, da, pos) in &scratch.side[i].nonlinear {
-                    let entry = ctx.econ.entry(node, pos as usize);
-                    u += entry.utility_delta(f, dr * r + da * a)?;
-                }
-                if end_host_linear[i].is_none() && own[i].end_host_gain != 0.0 {
-                    let f = ctx.flows.end_host(node);
-                    let price = ctx.econ.end_host_price(node);
-                    u += price.price(f + own[i].end_host_gain * a)? - price.price(f)?;
-                }
-                if internal_linear[i].is_none() {
-                    let base = base_total[i];
-                    let delta = total[i].0 * r + total[i].1 * a;
-                    let cost = ctx.econ.internal_cost(node);
-                    u -= cost.eval((base + delta).max(0.0))? - cost.eval(base)?;
-                }
-                if !u.is_finite() {
-                    return Err(AgreementError::InvalidUtility { value: u });
-                }
-                utilities[i] = u;
-            }
-            let (ux, uy) = (utilities[0], utilities[1]);
-            if ux >= -UTILITY_TOLERANCE && uy >= -UTILITY_TOLERANCE {
-                let score = ux.max(0.0) * uy.max(0.0) + 1e-7 * (ux + uy);
-                if score > best_fv_score {
-                    best_fv_score = score;
-                    best_fv = Some((r, a, ux, uy));
-                }
-            }
-            let joint = ux + uy;
-            if joint > best_joint {
-                best_joint = joint;
-                best_cash = Some((r, a, ux, uy));
-            }
-        }
-    }
-
-    let flow_volume = best_fv.and_then(|(r, a, ux, uy)| {
-        let product = ux.max(0.0) * uy.max(0.0);
-        let volume = r * volume_r + a * volume_a;
-        (product > UTILITY_TOLERANCE && volume > UTILITY_TOLERANCE).then_some(FlowVolumePoint {
-            reroute: r,
-            attract: a,
-            utility_x: ux,
-            utility_y: uy,
-        })
-    });
-    let cash = match best_cash {
-        Some((r, a, ux, uy)) if ux + uy > JOINT_TOLERANCE => Some(CashPoint {
-            reroute: r,
-            attract: a,
-            joint_utility: ux + uy,
-            transfer_x_to_y: bargaining_transfer(ux, uy)?,
-        }),
-        _ => None,
-    };
-    let surplus = cash.map_or(0.0, |c| c.joint_utility.max(0.0));
-    Ok(PairOutcome {
-        x: graph.asn_at(x),
-        y: graph.asn_at(y),
-        peering_hops: pair.peering_hops,
-        shares: (programs.reroute_share, programs.attract_share),
-        segments: (nsegs[0], nsegs[1]),
-        flow_volume,
-        cash,
-        surplus,
-    })
+    scan_operating_points(
+        ctx,
+        &parties,
+        [&sx.nonlinear, &sy.nonlinear],
+        (volume_r, volume_a),
+        pair,
+        (programs.reroute_share, programs.attract_share),
+        grid,
+    )
 }
 
 /// Runs a full discovery sweep: enumerate candidates, evaluate each in

@@ -80,16 +80,31 @@ impl RunFlags {
 impl RunOptions {
     /// Parses `--threads <N>` and `--seed <u64>` from an
     /// `std::env::args`-style iterator (the leading program name is
-    /// skipped). Unrecognized arguments are returned untouched, in
-    /// order, so callers with extra positional arguments (e.g. a CAIDA
-    /// file path) can consume them afterwards.
+    /// skipped). `positional` names the one optional positional argument
+    /// the caller accepts (e.g. a CAIDA snapshot path), or is `None` when
+    /// it takes none; the argument is returned if given.
     ///
     /// # Errors
     ///
     /// The message of [`RunFlags::try_parse`] for a missing or
-    /// malformed flag value.
-    pub fn try_parse(args: impl Iterator<Item = String>) -> Result<(Self, Vec<String>), String> {
+    /// malformed flag value, or a message naming the first unknown flag
+    /// (any other argument starting with `-`) or unexpected positional
+    /// argument.
+    pub fn try_parse(
+        args: impl Iterator<Item = String>,
+        positional: Option<&str>,
+    ) -> Result<(Self, Option<String>), String> {
         let (flags, rest) = RunFlags::try_parse(args.skip(1))?;
+        let mut given = None;
+        for arg in rest {
+            if arg.starts_with('-') {
+                return Err(format!("unknown flag {arg:?}"));
+            }
+            if positional.is_none() || given.is_some() {
+                return Err(format!("unexpected argument {arg:?}"));
+            }
+            given = Some(arg);
+        }
         let mut options = RunOptions::default();
         if let Some(threads) = flags.threads {
             options.threads = threads;
@@ -97,20 +112,22 @@ impl RunOptions {
         if let Some(seed) = flags.seed {
             options.seed = seed;
         }
-        Ok((options, rest))
+        Ok((options, given))
     }
 
-    /// Parses from [`std::env::args`]. A missing or malformed flag
-    /// value prints the message and the shared usage to stderr and
-    /// exits with code 2.
+    /// Parses from [`std::env::args`] (see [`try_parse`](Self::try_parse)).
+    /// A missing or malformed flag value, an unknown flag or an
+    /// unexpected argument prints the message and the usage to stderr
+    /// and exits with code 2.
     #[must_use]
-    pub fn from_env() -> (Self, Vec<String>) {
-        Self::try_parse(std::env::args()).unwrap_or_else(|message| {
+    pub fn from_env(positional: Option<&str>) -> (Self, Option<String>) {
+        Self::try_parse(std::env::args(), positional).unwrap_or_else(|message| {
             let program = std::env::args().next().unwrap_or_default();
             let name = std::path::Path::new(&program)
                 .file_name()
                 .map_or(program.clone(), |name| name.to_string_lossy().into_owned());
-            eprintln!("error: {message}\nusage: {name} [--threads <N>] [--seed <u64>]");
+            let positional = positional.map_or(String::new(), |p| format!(" [{p}]"));
+            eprintln!("error: {message}\nusage: {name} [--threads <N>] [--seed <u64>]{positional}");
             std::process::exit(2);
         })
     }
@@ -140,38 +157,62 @@ mod tests {
 
     #[test]
     fn defaults_and_flags() {
-        let (o, rest) = RunOptions::try_parse(args(&[])).unwrap();
+        let (o, given) = RunOptions::try_parse(args(&[]), None).unwrap();
         assert_eq!(o, RunOptions::default());
-        assert!(rest.is_empty());
-        let (o, rest) = RunOptions::try_parse(args(&["--threads", "3", "--seed", "9"])).unwrap();
+        assert_eq!(given, None);
+        let (o, given) =
+            RunOptions::try_parse(args(&["--threads", "3", "--seed", "9"]), None).unwrap();
         assert_eq!(o.threads, 3);
         assert_eq!(o.seed, 9);
         assert_eq!(o.pool().threads(), 3);
         assert_eq!(o.sweep().master_seed(), 9);
-        assert!(rest.is_empty());
+        assert_eq!(given, None);
     }
 
     #[test]
     fn zero_threads_clamp_and_positionals_pass_through() {
-        let (o, rest) =
-            RunOptions::try_parse(args(&["file.txt", "--threads", "0", "--flag"])).unwrap();
+        let (o, given) =
+            RunOptions::try_parse(args(&["file.txt", "--threads", "0"]), Some("<snapshot>"))
+                .unwrap();
         assert_eq!(o.threads, 1);
-        assert_eq!(rest, vec!["file.txt".to_owned(), "--flag".to_owned()]);
+        assert_eq!(given.as_deref(), Some("file.txt"));
+        let (_, given) = RunOptions::try_parse(args(&["--seed", "1"]), Some("<snapshot>")).unwrap();
+        assert_eq!(given, None);
     }
 
     #[test]
     fn malformed_values_are_errors() {
         assert_eq!(
-            RunOptions::try_parse(args(&["--seed", "abc"])),
+            RunOptions::try_parse(args(&["--seed", "abc"]), None),
             Err("--seed expects a u64, got \"abc\"".to_owned())
         );
         assert_eq!(
-            RunOptions::try_parse(args(&["--threads", "many"])),
+            RunOptions::try_parse(args(&["--threads", "many"]), None),
             Err("--threads expects a count, got \"many\"".to_owned())
         );
         assert_eq!(
-            RunOptions::try_parse(args(&["--threads"])),
+            RunOptions::try_parse(args(&["--threads"]), None),
             Err("--threads requires a value".to_owned())
+        );
+    }
+
+    #[test]
+    fn unknown_flags_and_extra_arguments_are_errors() {
+        assert_eq!(
+            RunOptions::try_parse(args(&["--bogus"]), None),
+            Err("unknown flag \"--bogus\"".to_owned())
+        );
+        assert_eq!(
+            RunOptions::try_parse(args(&["file.txt", "--bogus"]), Some("<snapshot>")),
+            Err("unknown flag \"--bogus\"".to_owned())
+        );
+        assert_eq!(
+            RunOptions::try_parse(args(&["file.txt"]), None),
+            Err("unexpected argument \"file.txt\"".to_owned())
+        );
+        assert_eq!(
+            RunOptions::try_parse(args(&["a.txt", "b.txt"]), Some("<snapshot>")),
+            Err("unexpected argument \"b.txt\"".to_owned())
         );
     }
 }

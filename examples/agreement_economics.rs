@@ -63,11 +63,7 @@ fn hostile_model() -> BusinessModel {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let (opts, rest) = RunOptions::from_env();
-    assert!(
-        rest.is_empty(),
-        "unknown flags {rest:?}; known: --threads <N>, --seed <u64>"
-    );
+    let (opts, _) = RunOptions::from_env(None);
 
     // ----- Classic peering (§III-B1) --------------------------------
     let model = friendly_model();

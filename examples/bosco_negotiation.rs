@@ -12,11 +12,7 @@ use pan_interconnect::bosco::{BoscoService, GameOutcome, ServiceConfig, UtilityD
 use pan_interconnect::runtime::RunOptions;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let (opts, rest) = RunOptions::from_env();
-    assert!(
-        rest.is_empty(),
-        "unknown flags {rest:?}; known: --threads <N>, --seed <u64>"
-    );
+    let (opts, _) = RunOptions::from_env(None);
     // The BOSCO service estimates both parties' utilities as Unif[−1, 1]
     // (the paper's U(1)).
     let distribution = UtilityDistribution::uniform(-1.0, 1.0)?;

@@ -21,12 +21,8 @@ use pan_interconnect::runtime::RunOptions;
 use pan_interconnect::topology::caida;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let (opts, rest) = RunOptions::from_env();
-    assert!(
-        rest.len() <= 1,
-        "usage: caida_analysis [snapshot.as-rel2.txt] [--threads N] [--seed S]"
-    );
-    let graph = match rest.first() {
+    let (opts, snapshot) = RunOptions::from_env(Some("snapshot.as-rel2.txt"));
+    let graph = match snapshot {
         Some(path) => {
             println!("parsing CAIDA snapshot {path} …");
             let text = std::fs::read_to_string(path)?;

@@ -14,11 +14,7 @@ use pan_interconnect::pathdiv::geodistance::{analyze_pooled as analyze_geo, Geod
 use pan_interconnect::runtime::RunOptions;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let (opts, rest) = RunOptions::from_env();
-    assert!(
-        rest.is_empty(),
-        "unknown flags {rest:?}; known: --threads <N>, --seed <u64>"
-    );
+    let (opts, _) = RunOptions::from_env(None);
     let pool = opts.pool();
     let net = SyntheticInternet::generate(
         &InternetConfig {

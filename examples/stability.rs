@@ -20,11 +20,7 @@ use pan_interconnect::runtime::RunOptions;
 use pan_interconnect::topology::fixtures::{asn, fig1};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let (opts, rest) = RunOptions::from_env();
-    assert!(
-        rest.is_empty(),
-        "unknown flags {rest:?}; known: --threads <N>, --seed <u64>"
-    );
+    let (opts, _) = RunOptions::from_env(None);
     println!("== BGP: the next-hop principle needs the GRC ==\n");
 
     // The Fig. 1 wedgie: D and E forward provider routes to each other.
