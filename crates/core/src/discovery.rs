@@ -125,66 +125,22 @@ pub fn enumerate_candidates(graph: &AsGraph, policy: CandidatePolicy) -> Vec<Can
             }
         }
         CandidatePolicy::PeeringKHop { k, per_source_cap } => {
-            let k = k.max(1);
-            // Per-source BFS over peer links with a stamp array; visited
-            // nodes are collected in discovery order.
             let mut stamp = vec![u32::MAX; n as usize];
-            let mut frontier: Vec<u32> = Vec::new();
-            let mut next: Vec<u32> = Vec::new();
-            let mut level: Vec<u32> = Vec::new();
             for x in 0..n {
-                stamp[x as usize] = x;
-                frontier.clear();
-                frontier.push(x);
-                let mut contributed = 0usize;
-                for depth in 1..=k {
-                    next.clear();
-                    level.clear();
-                    for &u in &frontier {
-                        for &v in graph.peer_indices(u) {
-                            if stamp[v as usize] == x {
-                                continue;
-                            }
-                            stamp[v as usize] = x;
-                            next.push(v);
-                            // A prospective pair must be free to establish
-                            // peering: a pair that is k hops apart in the
-                            // peering mesh can still be directly linked by
-                            // a transit relationship, which rules it out
-                            // (depth 1 pairs are peers by construction).
-                            if v > x && (depth == 1 || graph.neighbor_kind_by_index(x, v).is_none())
-                            {
-                                level.push(v);
-                            }
-                        }
-                    }
-                    // The cap only ever applies to a *fully enumerated*
-                    // level. When it lands inside one, the level's pairs
-                    // are ranked by neighbor ASN and the smallest fill
-                    // the remaining budget — a canonical selection that
-                    // cannot depend on CSR neighbor order, as the old
-                    // mid-level break did.
-                    let truncated =
-                        if per_source_cap > 0 && contributed + level.len() > per_source_cap {
-                            level.sort_unstable_by_key(|&v| graph.asn_at(v));
-                            level.truncate(per_source_cap - contributed);
-                            true
-                        } else {
-                            false
-                        };
-                    contributed += level.len();
-                    for &v in &level {
+                peering_khop(
+                    graph,
+                    x,
+                    (k, per_source_cap),
+                    &mut stamp,
+                    |v| v > x,
+                    |v, depth| {
                         pairs.push(CandidatePair {
                             x,
                             y: v,
                             peering_hops: depth,
                         });
-                    }
-                    if truncated || (per_source_cap > 0 && contributed >= per_source_cap) {
-                        break;
-                    }
-                    std::mem::swap(&mut frontier, &mut next);
-                }
+                    },
+                );
             }
         }
     }
@@ -223,48 +179,77 @@ pub fn enumerate_candidates_for(
             }
         }
         CandidatePolicy::PeeringKHop { k, per_source_cap } => {
-            let k = k.max(1);
-            let mut stamp = vec![false; graph.node_count()];
-            stamp[node as usize] = true;
-            let mut frontier = vec![node];
-            let mut next: Vec<u32> = Vec::new();
-            let mut level: Vec<u32> = Vec::new();
-            let mut contributed = 0usize;
-            for depth in 1..=k {
-                next.clear();
-                level.clear();
-                for &u in &frontier {
-                    for &v in graph.peer_indices(u) {
-                        if stamp[v as usize] {
-                            continue;
-                        }
-                        stamp[v as usize] = true;
-                        next.push(v);
-                        if depth == 1 || graph.neighbor_kind_by_index(node, v).is_none() {
-                            level.push(v);
-                        }
-                    }
-                }
-                let truncated = if per_source_cap > 0 && contributed + level.len() > per_source_cap
-                {
-                    level.sort_unstable_by_key(|&v| graph.asn_at(v));
-                    level.truncate(per_source_cap - contributed);
-                    true
-                } else {
-                    false
-                };
-                contributed += level.len();
-                for &v in &level {
-                    pairs.push(normalized(v, depth));
-                }
-                if truncated || (per_source_cap > 0 && contributed >= per_source_cap) {
-                    break;
-                }
-                std::mem::swap(&mut frontier, &mut next);
-            }
+            let mut stamp = vec![u32::MAX; graph.node_count()];
+            peering_khop(
+                graph,
+                node,
+                (k, per_source_cap),
+                &mut stamp,
+                |_| true,
+                |v, depth| pairs.push(normalized(v, depth)),
+            );
         }
     }
     pairs
+}
+
+/// The capped k-hop walk of [`CandidatePolicy::PeeringKHop`] from
+/// `source`: a level-by-level BFS over peer links that calls
+/// `emit(partner, depth)` for every kept partner, in discovery order.
+///
+/// A partner is kept if `keep` accepts it and it is free to establish
+/// peering: a pair that is k hops apart in the peering mesh can still be
+/// directly linked by a transit relationship, which rules it out (depth
+/// 1 partners are peers by construction). `stamp` marks the nodes this
+/// walk has visited with `source`, so callers running one walk per
+/// source share one slice; it must hold no `source` entry on entry.
+fn peering_khop(
+    graph: &AsGraph,
+    source: u32,
+    (k, per_source_cap): (u8, usize),
+    stamp: &mut [u32],
+    keep: impl Fn(u32) -> bool,
+    mut emit: impl FnMut(u32, u8),
+) {
+    stamp[source as usize] = source;
+    let mut frontier = vec![source];
+    let mut next: Vec<u32> = Vec::new();
+    let mut level: Vec<u32> = Vec::new();
+    let mut contributed = 0usize;
+    for depth in 1..=k.max(1) {
+        next.clear();
+        level.clear();
+        for &u in &frontier {
+            for &v in graph.peer_indices(u) {
+                if stamp[v as usize] == source {
+                    continue;
+                }
+                stamp[v as usize] = source;
+                next.push(v);
+                if keep(v) && (depth == 1 || graph.neighbor_kind_by_index(source, v).is_none()) {
+                    level.push(v);
+                }
+            }
+        }
+        // The cap only ever applies to a *fully enumerated* level. When
+        // it lands inside one, the level's partners are ranked by ASN and
+        // the smallest fill the remaining budget — a canonical selection
+        // that cannot depend on CSR neighbor order, as a mid-level break
+        // would.
+        let truncated = per_source_cap > 0 && contributed + level.len() > per_source_cap;
+        if truncated {
+            level.sort_unstable_by_key(|&v| graph.asn_at(v));
+            level.truncate(per_source_cap - contributed);
+        }
+        contributed += level.len();
+        for &v in &level {
+            emit(v, depth);
+        }
+        if truncated || (per_source_cap > 0 && contributed >= per_source_cap) {
+            break;
+        }
+        std::mem::swap(&mut frontier, &mut next);
+    }
 }
 
 /// Immutable batch-evaluation context: the topology and its dense flow
@@ -664,12 +649,12 @@ impl Iterator for ChunkedRanking<'_> {
 /// coefficients (indexed by packed row position), the touched-position
 /// lists that make resetting O(touched), and the nonlinear-entry
 /// spill lists.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct PairScratch {
     side: [SideScratch; 2],
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct SideScratch {
     /// Coefficient of `r` per touched row position.
     coeff_r: Vec<f64>,

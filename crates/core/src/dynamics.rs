@@ -50,12 +50,15 @@
 //!
 //! # One engine, cached across rounds
 //!
-//! Every round re-evaluates every non-adopted candidate. The driver
-//! keeps only what provably survives a round: the candidate enumeration
-//! (until adoption registers a new peering link) and each pair's
-//! flow-independent transit structure (until a pricing table changes).
-//! A warm round on a static graph therefore costs one node-program build
-//! plus one programmed evaluation per candidate.
+//! Every round re-evaluates every non-adopted candidate. The state keeps
+//! only what provably survives a round, in its `RoundCache`: the
+//! candidate enumeration (until adoption registers a new peering link)
+//! and each pair's flow-independent transit structure (until a new link
+//! or a price shock). The mutations that invalidate an entry drop it, so
+//! the cache needs no key beyond the state it lives on, and any driver
+//! stepping that state reads it warm. A warm round on a static graph
+//! therefore costs one node-program build plus one programmed evaluation
+//! per candidate.
 //!
 //! Caching evaluated *outcomes* and re-evaluating only pairs whose
 //! endpoint rows changed does not pay, because row-level dirtiness is
@@ -67,7 +70,6 @@
 //! nearly every candidate anyway and adds its own bookkeeping on top.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use rand::Rng;
@@ -86,24 +88,17 @@ use crate::discovery::{
 };
 use crate::{AgreementError, Result};
 
-/// Monotonic source of [`MarketState`] identity tokens: the caches on an
-/// [`EvolutionDriver`] describe *one specific state*, and the token is
-/// how they recognize it. Fresh on every construction, restore, and
-/// clone, so a driver pointed at a different (or copied) state rebuilds
-/// its caches instead of trusting stale ones.
-static NEXT_STATE_TOKEN: AtomicU64 = AtomicU64::new(1);
-
-fn next_state_token() -> u64 {
-    NEXT_STATE_TOKEN.fetch_add(1, Ordering::Relaxed)
-}
-
 /// The evolving market: a topology with its dense economic tables, the
 /// set of adopted agreements, and the parties' cumulative cash ledger.
 ///
 /// The state owns its tables — adoption mutates flows (and, for
 /// prospective pairs, the graph itself), so the borrowed
 /// [`BatchContext`] of the static engine cannot express it.
-#[derive(Debug)]
+///
+/// The state also carries the `RoundCache` that evolution rounds
+/// derive from it, so a cache can only ever be read against the market
+/// it describes. A clone copies the cache, which is valid for the copy.
+#[derive(Debug, Clone)]
 pub struct MarketState {
     graph: AsGraph,
     econ: DenseEconomics,
@@ -115,26 +110,17 @@ pub struct MarketState {
     /// membership tests only, so the hash order cannot leak into
     /// results.
     adopted: HashSet<(u32, u32)>,
-    /// Identity token the driver-side caches key on; fresh per
-    /// construction/clone (see [`NEXT_STATE_TOKEN`]).
-    token: u64,
-    /// Bumped whenever adoption registers a new peering link — the
-    /// enumeration-cache invalidation signal.
-    graph_version: u64,
-    /// Bumped whenever a pricing table mutates (perturbation price
-    /// shocks) — the invalidation signal for caches derived from
-    /// pricing but not flows (the driver's per-pair transit
-    /// structures). Flow mutations never bump it.
-    pricing_epoch: u64,
     /// Coarse market revision: bumped on every adoption and every
-    /// perturbation pass (which covers traffic drift, price shocks —
-    /// i.e. pricing-epoch changes — and link failures). The serving
-    /// layer keys its per-AS advise cache on this counter; see
-    /// [`generation`](Self::generation) for the contract.
+    /// perturbation pass (traffic drift, price shocks, link failures).
+    /// The serving layer keys its per-AS advise cache on this counter;
+    /// see [`generation`](Self::generation) for the contract.
     generation: u64,
     /// Reusable adoption buffers — see [`AdoptScratch`]. Pure scratch:
-    /// never serialized, never compared, reset-by-default on clone.
+    /// never serialized, never compared.
     adopt_scratch: AdoptScratch,
+    /// What evolution rounds derive from this market and reuse across
+    /// rounds — see [`RoundCache`]. Never serialized, never compared.
+    round_cache: RoundCache,
 }
 
 /// Reusable buffers for [`MarketState::adopt_outcome`] /
@@ -142,7 +128,7 @@ pub struct MarketState {
 /// the first. Contents are dead between calls — every user clears or
 /// overwrites before reading — so carrying them across rounds (or
 /// losing them on an error path) cannot affect results.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct AdoptScratch {
     /// Evaluator scratch for the adoption-time re-evaluation.
     eval: PairScratch,
@@ -162,23 +148,89 @@ impl AdoptScratch {
     }
 }
 
-impl Clone for MarketState {
-    /// Clones the market. The clone gets a fresh identity token: driver
-    /// caches built against the original must not be trusted for the
-    /// copy.
-    fn clone(&self) -> Self {
-        MarketState {
-            graph: self.graph.clone(),
-            econ: self.econ.clone(),
-            flows: self.flows.clone(),
-            cash: self.cash.clone(),
-            adopted: self.adopted.clone(),
-            token: next_state_token(),
-            graph_version: self.graph_version,
-            pricing_epoch: self.pricing_epoch,
-            generation: self.generation,
-            adopt_scratch: AdoptScratch::default(),
-        }
+/// What [`EvolutionDriver::step`] derives from a market and reuses
+/// across rounds: the candidate enumeration, each candidate's
+/// flow-independent [`PairTransit`], and the round's index buffers.
+///
+/// The cache lives on the [`MarketState`] it was derived from, and the
+/// two mutations that change its inputs drop what they invalidate:
+/// [`MarketState::adopt_outcome`] registering a new peering link drops
+/// the enumeration and the transits, and a price shock in `perturb`
+/// drops the transits. Flows never enter either table. The cache never
+/// influences results: a kept entry is bitwise what a fresh derivation
+/// would return.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RoundCache {
+    /// The unfiltered enumeration under the policy it was enumerated
+    /// with (adopted pairs included: the adopted set changes every
+    /// round, so filtering happens per round).
+    enumeration: Option<(CandidatePolicy, Vec<CandidatePair>)>,
+    /// Parallel to the enumeration: each pair's transit structure,
+    /// derived lazily by the first noise-free round that evaluates it.
+    /// Noisy rounds never read it, so they never allocate it.
+    transit: Option<Vec<Option<PairTransit>>>,
+    /// Round scratch: this round's non-adopted enumeration indices.
+    filtered: Vec<u32>,
+    /// Round scratch: filtered indices whose transit slot is empty.
+    missing: Vec<u32>,
+    /// Ranked outcomes the previous round's adoption scan read — the
+    /// size of this round's first ranked chunk. Rounds of one market
+    /// scan to similar depths, so one selection usually covers the
+    /// whole scan; the size never changes what is adopted.
+    scan_depth: usize,
+    /// Enumerations run, and rounds that reused a kept one.
+    pub(crate) enumerations: CacheUse,
+    /// Rounds that started without a transit table (a noise-free round
+    /// then builds one; a noisy round needs none), and rounds that found
+    /// one kept from an earlier round.
+    pub(crate) transits: CacheUse,
+}
+
+/// How often a cached table was rebuilt and how often a round reused
+/// it; mirrored into the telemetry counters named on each count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct CacheUse {
+    pub(crate) rebuilds: usize,
+    pub(crate) reuses: usize,
+}
+
+impl CacheUse {
+    /// Counts one round's lookup as a rebuild or a reuse, here and in
+    /// the telemetry counter named for it (`[rebuilds, reuses]`).
+    fn count(&mut self, rebuilt: bool, [rebuilds, reuses]: [&str; 2]) {
+        let (count, name) = if rebuilt {
+            (&mut self.rebuilds, rebuilds)
+        } else {
+            (&mut self.reuses, reuses)
+        };
+        *count += 1;
+        pan_telemetry::counter(name).inc();
+    }
+}
+
+impl RoundCache {
+    /// Drops what the peering graph determines (the enumeration and the
+    /// transits); the round scratch and the scan depth carry over.
+    fn drop_graph_derived(&mut self) {
+        self.enumeration = None;
+        self.transit = None;
+    }
+
+    /// Bytes resident in the cache's tables and buffers.
+    fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let pairs = self.enumeration.as_ref().map_or(0, |(_, pairs)| {
+            pairs.capacity() * size_of::<CandidatePair>()
+        });
+        let transit = self.transit.as_ref().map_or(0, |transit| {
+            transit.capacity() * size_of::<Option<PairTransit>>()
+                + transit
+                    .iter()
+                    .flatten()
+                    .map(PairTransit::heap_bytes)
+                    .sum::<usize>()
+        });
+        pairs + transit + (self.filtered.capacity() + self.missing.capacity()) * size_of::<u32>()
     }
 }
 
@@ -206,11 +258,9 @@ impl MarketState {
             flows,
             cash,
             adopted: HashSet::new(),
-            token: next_state_token(),
-            graph_version: 0,
-            pricing_epoch: 0,
             generation: 0,
             adopt_scratch: AdoptScratch::default(),
+            round_cache: RoundCache::default(),
         })
     }
 
@@ -289,30 +339,10 @@ impl MarketState {
             flows,
             cash,
             adopted: set,
-            token: next_state_token(),
-            graph_version: 0,
-            pricing_epoch: 0,
             generation: 0,
             adopt_scratch: AdoptScratch::default(),
+            round_cache: RoundCache::default(),
         })
-    }
-
-    /// Identity token of this state instance; driver-side caches use it
-    /// to recognize the state they were built against.
-    pub(crate) fn cache_token(&self) -> u64 {
-        self.token
-    }
-
-    /// Topology revision: bumped when adoption registers a new peering
-    /// link, invalidating cached candidate enumerations.
-    pub(crate) fn graph_version(&self) -> u64 {
-        self.graph_version
-    }
-
-    /// Pricing revision: bumped whenever a pricing table mutates; see
-    /// the field docs.
-    pub(crate) fn pricing_epoch(&self) -> u64 {
-        self.pricing_epoch
     }
 
     /// Coarse market revision for result caches (the serving layer's
@@ -372,9 +402,9 @@ impl MarketState {
 
     /// Approximate bytes the state keeps resident: the topology, the
     /// dense pricing/flow tables (including their SoA lanes), the cash
-    /// ledger, the adopted set, and the adoption scratch. Computed from
-    /// actual container capacities — the serving layer's `stats` verb
-    /// and the scale benchmarks report this.
+    /// ledger, the adopted set, the adoption scratch, and the round
+    /// cache. Computed from actual container capacities — the serving
+    /// layer's `stats` verb and the scale benchmarks report this.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -384,6 +414,13 @@ impl MarketState {
             + self.cash.capacity() * size_of::<f64>()
             + self.adopted.capacity() * (size_of::<(u32, u32)>() + size_of::<u64>())
             + self.adopt_scratch.resident_bytes()
+            + self.round_cache.resident_bytes()
+    }
+
+    /// The round cache, for cache-behavior tests.
+    #[cfg(test)]
+    pub(crate) fn round_cache(&self) -> &RoundCache {
+        &self.round_cache
     }
 
     /// The adopted pairs as a **sorted** list of normalized node-index
@@ -463,8 +500,8 @@ impl MarketState {
             self.flows = self.flows.remapped(&self.graph, &next)?;
             self.graph = next;
             // Remapping is index-stable and only the parties' rows gain a
-            // slot, but cached enumerations are now stale.
-            self.graph_version += 1;
+            // slot, but the cached enumeration and transits are now stale.
+            self.round_cache.drop_graph_derived();
         }
         self.materialize(x, y, outcome.shares, (cash.reroute, cash.attract));
         // Eq. (10)–(11): X pays Π_{X→Y} to Y (negative = Y pays X).
@@ -661,8 +698,9 @@ impl MarketState {
             }
         }
         if price_shocks > 0 {
-            self.pricing_epoch = self.pricing_epoch.wrapping_add(1);
-            pan_telemetry::counter("econ.pricing.epoch_bumps").inc();
+            // Transit structures fold transit rates; dropping them all is
+            // cheaper than tracking which links repriced.
+            self.round_cache.transit = None;
         }
         // Pass 3: peering-link failures.
         let mut failed_links = 0usize;
@@ -908,162 +946,16 @@ pub(crate) struct RoundScan {
 /// a resident market can always be stepped again later (the shock a
 /// batch run would deem "unobservable" is observable after a restore).
 ///
-/// The driver additionally owns per-state caches (the candidate
-/// enumeration and the per-pair transit structures; see the [module
-/// docs](self)). The caches never influence results — they are keyed on
-/// the state's identity token and rebuilt cold whenever they do not
-/// recognize the state — and are excluded from equality: two drivers
-/// compare equal iff they would continue a trajectory identically.
-#[derive(Debug, Clone)]
+/// A driver holds nothing else: the caches a round reuses live on the
+/// [`MarketState`] they were derived from (see `RoundCache` and the
+/// [module docs](self)), so a driver replaced mid-run (as the serving
+/// layer does for a `step` with a shock override) steps warm, and two
+/// drivers compare equal iff they would continue a trajectory
+/// identically.
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvolutionDriver {
     config: EvolutionConfig,
     rounds_done: usize,
-    enumeration: Option<EnumerationCache>,
-    full: Option<FullEngineCache>,
-}
-
-/// The candidate enumeration of a known `(state, graph)` pair, reused
-/// across rounds until the graph changes (new peering link) or the
-/// driver is pointed at a different state.
-#[derive(Debug, Clone)]
-pub(crate) struct EnumerationCache {
-    token: u64,
-    graph_version: u64,
-    /// The unfiltered enumeration (adopted pairs included — the adopted
-    /// set changes every round, so filtering happens per round).
-    pub(crate) pairs: Vec<CandidatePair>,
-    /// Times the enumeration was (re)computed, including the first.
-    pub(crate) rebuilds: usize,
-    /// Rounds served from the cache without re-enumerating.
-    pub(crate) reuses: usize,
-}
-
-/// Ensures `cache` holds the current enumeration of `state`, reusing it
-/// when the state identity and graph version both match.
-fn refresh_enumeration(
-    cache: &mut Option<EnumerationCache>,
-    state: &MarketState,
-    policy: CandidatePolicy,
-) {
-    let (token, graph_version) = (state.cache_token(), state.graph_version());
-    if let Some(cached) = cache {
-        if cached.token == token && cached.graph_version == graph_version {
-            cached.reuses += 1;
-            pan_telemetry::counter("core.cache.enumeration.reuses").inc();
-            return;
-        }
-    }
-    pan_telemetry::counter("core.cache.enumeration.rebuilds").inc();
-    let (rebuilds, reuses) = cache.as_ref().map_or((0, 0), |c| (c.rebuilds, c.reuses));
-    *cache = Some(EnumerationCache {
-        token,
-        graph_version,
-        pairs: enumerate_candidates(state.graph(), policy),
-        rebuilds: rebuilds + 1,
-        reuses,
-    });
-}
-
-/// The engine's cross-round cache: per-candidate [`PairTransit`]
-/// structures plus the round's reusable index buffers.
-///
-/// Transit structures are pure functions of the graph and the transit
-/// pricing tables (flows never enter — see [`derive_pair_transit`]), so
-/// on a static-graph, stable-pricing market they are derived once and
-/// reused every round; deriving them used to be roughly half of a full
-/// resweep's work. Like the other driver caches this one never
-/// influences results: a cache hit returns bitwise what a fresh
-/// derivation would, and any key mismatch rebuilds cold.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct FullEngineCache {
-    token: u64,
-    graph_version: u64,
-    /// Pricing revision the cached transits were derived under; a bump
-    /// drops them all (cheaper than tracking which links repriced).
-    pricing_epoch: u64,
-    /// Parallel to the enumeration: the pair's transit structure,
-    /// derived lazily on the first round that evaluates it.
-    transit: Vec<Option<PairTransit>>,
-    /// Round scratch: this round's non-adopted enumeration indices.
-    filtered: Vec<u32>,
-    /// Round scratch: filtered indices whose transit slot is empty.
-    missing: Vec<u32>,
-    /// Ranked outcomes the previous round's adoption scan read — the
-    /// size of this round's first ranked chunk. Rounds of one market
-    /// scan to similar depths, so one selection usually covers the
-    /// whole scan; the size never changes what is adopted.
-    scan_depth: usize,
-    /// Times the transit table was (re)built cold, including the first.
-    pub(crate) rebuilds: usize,
-    /// Rounds served with at least a partially warm table.
-    pub(crate) reuses: usize,
-}
-
-impl FullEngineCache {
-    /// Bytes resident in the cache's tables and buffers.
-    #[must_use]
-    pub(crate) fn resident_bytes(&self) -> usize {
-        self.transit.capacity() * std::mem::size_of::<Option<PairTransit>>()
-            + self
-                .transit
-                .iter()
-                .flatten()
-                .map(PairTransit::heap_bytes)
-                .sum::<usize>()
-            + (self.filtered.capacity() + self.missing.capacity()) * std::mem::size_of::<u32>()
-    }
-}
-
-/// Ensures `cache` targets the current `(state, graph)` pair: rebuilds
-/// the transit table cold on an identity/topology mismatch, drops every
-/// cached transit (in place) on a pricing-epoch bump, and reuses it
-/// otherwise. The round scratch buffers carry over in all cases.
-fn ensure_full<'a>(
-    cache: &'a mut Option<FullEngineCache>,
-    state: &MarketState,
-    pairs: &[CandidatePair],
-) -> &'a mut FullEngineCache {
-    let (token, graph_version, pricing_epoch) = (
-        state.cache_token(),
-        state.graph_version(),
-        state.pricing_epoch(),
-    );
-    let stale = match cache {
-        Some(c) => c.token != token || c.graph_version != graph_version,
-        None => true,
-    };
-    if stale {
-        let carried = cache.take().unwrap_or_default();
-        pan_telemetry::counter("core.cache.full_engine.rebuilds").inc();
-        *cache = Some(FullEngineCache {
-            token,
-            graph_version,
-            pricing_epoch,
-            transit: vec![None; pairs.len()],
-            filtered: carried.filtered,
-            missing: carried.missing,
-            scan_depth: carried.scan_depth,
-            rebuilds: carried.rebuilds + 1,
-            reuses: carried.reuses,
-        });
-    } else {
-        let c = cache.as_mut().expect("non-stale cache exists");
-        if c.pricing_epoch != pricing_epoch {
-            c.pricing_epoch = pricing_epoch;
-            c.transit.iter_mut().for_each(|t| *t = None);
-            pan_telemetry::counter("core.cache.full_engine.pricing_drops").inc();
-        } else {
-            c.reuses += 1;
-            pan_telemetry::counter("core.cache.full_engine.reuses").inc();
-        }
-    }
-    cache.as_mut().expect("just ensured")
-}
-
-impl PartialEq for EvolutionDriver {
-    fn eq(&self, other: &Self) -> bool {
-        self.config == other.config && self.rounds_done == other.rounds_done
-    }
 }
 
 impl EvolutionDriver {
@@ -1089,8 +981,6 @@ impl EvolutionDriver {
         Ok(EvolutionDriver {
             config,
             rounds_done,
-            enumeration: None,
-            full: None,
         })
     }
 
@@ -1107,17 +997,13 @@ impl EvolutionDriver {
         self.rounds_done
     }
 
-    /// Approximate bytes the driver's caches keep resident: the
-    /// candidate enumeration and the transit cache. Add to
-    /// [`MarketState::resident_bytes`] for a session's total footprint.
+    /// Bytes the driver keeps resident beyond its own size: always 0,
+    /// since the round caches live on the state and count in
+    /// [`MarketState::resident_bytes`]. Kept so that footprint sums of
+    /// state plus driver stay valid.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        self.enumeration.as_ref().map_or(0, |e| {
-            e.pairs.capacity() * std::mem::size_of::<CandidatePair>()
-        }) + self
-            .full
-            .as_ref()
-            .map_or(0, FullEngineCache::resident_bytes)
+        0
     }
 
     /// The sub-seed of the next round: the `rounds_done`-th draw of the
@@ -1151,20 +1037,44 @@ impl EvolutionDriver {
         let round_sweep = sweep.reseeded(round_seed);
         let config = self.config;
 
-        // Candidate enumeration is cached across rounds; it re-runs only
-        // when the peering graph (or the state identity) changed.
+        // The round takes the state's cache out while its adoptions
+        // mutate the state, and puts it back afterwards.
+        let mut cache = std::mem::take(&mut state.round_cache);
         {
+            // The enumeration re-runs only after a new peering link (or
+            // under a different policy).
             let _span = pan_telemetry::histogram("core.phase.enumerate_ns").start();
-            refresh_enumeration(&mut self.enumeration, state, config.discovery.policy);
+            let policy = config.discovery.policy;
+            let rebuilt = cache.enumeration.as_ref().is_none_or(|(p, _)| *p != policy);
+            if rebuilt {
+                cache.transit = None;
+                cache.enumeration = Some((policy, enumerate_candidates(&state.graph, policy)));
+            }
+            cache.enumerations.count(
+                rebuilt,
+                [
+                    "core.cache.enumeration.rebuilds",
+                    "core.cache.enumeration.reuses",
+                ],
+            );
         }
-        let pairs = &self
-            .enumeration
-            .as_ref()
-            .expect("enumeration cache was just refreshed")
-            .pairs;
-
-        let cache = ensure_full(&mut self.full, state, pairs);
-        let scan = full_round(state, &config, &round_sweep, pairs, cache, round)?;
+        // Counted on every round, noisy or not, so that the transit
+        // reuse share is a share of rounds.
+        cache.transits.count(
+            cache.transit.is_none(),
+            [
+                "core.cache.full_engine.rebuilds",
+                "core.cache.full_engine.reuses",
+            ],
+        );
+        let scan = full_round(state, &config, &round_sweep, &mut cache, round)?;
+        if scan.new_links > 0 {
+            // This round's adoptions registered peering links while the
+            // cache was out of the state, so `adopt_outcome` could not
+            // drop it.
+            cache.drop_graph_derived();
+        }
+        state.round_cache = cache;
         let total_flow = state.flows.grand_total();
 
         // Fixed point: an unshocked round without adoptions cannot
@@ -1202,23 +1112,11 @@ impl EvolutionDriver {
             fixed_point,
         })
     }
-
-    /// The enumeration cache, for cache-behavior tests.
-    #[cfg(test)]
-    pub(crate) fn enumeration_cache(&self) -> Option<&EnumerationCache> {
-        self.enumeration.as_ref()
-    }
-
-    /// The transit cache, for cache-behavior tests.
-    #[cfg(test)]
-    pub(crate) fn full_cache(&self) -> Option<&FullEngineCache> {
-        self.full.as_ref()
-    }
 }
 
 /// Keys a cold adoption scan ranks up front per agreement it may
 /// adopt. Warm rounds size their first chunk from the previous round's
-/// scan depth instead (see `FullEngineCache::scan_depth`): on the 10k-AS
+/// scan depth instead (see `RoundCache::scan_depth`): on the 10k-AS
 /// markets party-disjointness skips so many hub pairs that a 25-adoption
 /// scan reads 13k-25k outcomes.
 const RANK_CHUNK_PER_ADOPTION: usize = 4;
@@ -1236,10 +1134,13 @@ fn full_round(
     state: &mut MarketState,
     config: &EvolutionConfig,
     round_sweep: &ScenarioSweep,
-    pairs: &[CandidatePair],
-    cache: &mut FullEngineCache,
+    cache: &mut RoundCache,
     round: usize,
 ) -> Result<RoundScan> {
+    let (_, pairs) = cache
+        .enumeration
+        .as_ref()
+        .expect("the round enumerated before evaluating");
     // 1. This round's candidate view: the non-adopted enumeration
     // indices, in enumeration order (reusing the cache's buffer). The
     // sweeps below hand workers row-locality tiles of consecutive
@@ -1264,9 +1165,8 @@ fn full_round(
             // Noise-free sweeps evaluate through the shared per-node
             // collapse — one row walk per node per round instead of one
             // per candidate. Transit structures are flow-independent, so
-            // they live in the driver's cache across rounds; only the
-            // slots emptied by a key change are (re)derived here, in
-            // parallel.
+            // they live in the round cache across rounds; only empty
+            // slots are derived here, in parallel.
             let programs = {
                 let _span = pan_telemetry::histogram("core.phase.programs_ns").start();
                 NodePrograms::build(
@@ -1275,13 +1175,14 @@ fn full_round(
                     config.discovery.attract_share,
                 )?
             };
+            let transit = cache.transit.get_or_insert_with(|| vec![None; pairs.len()]);
             let mut missing = std::mem::take(&mut cache.missing);
             missing.clear();
             missing.extend(
                 filtered
                     .iter()
                     .copied()
-                    .filter(|&index| cache.transit[index as usize].is_none()),
+                    .filter(|&index| transit[index as usize].is_none()),
             );
             if !missing.is_empty() {
                 let _span = pan_telemetry::histogram("core.phase.derive_transit_ns").start();
@@ -1291,12 +1192,12 @@ fn full_round(
                     || (),
                     |(), _i, &index, _rng| derive_pair_transit(&ctx, pairs[index as usize]),
                 );
-                for (&index, transit) in missing.iter().zip(derived) {
-                    cache.transit[index as usize] = Some(transit);
+                for (&index, pair_transit) in missing.iter().zip(derived) {
+                    transit[index as usize] = Some(pair_transit);
                 }
             }
             cache.missing = missing;
-            let transit = &cache.transit;
+            let transit = &*transit;
             let _span = pan_telemetry::histogram("core.phase.evaluate_ns").start();
             round_sweep.map_with_tiled(
                 &filtered,
@@ -2269,18 +2170,42 @@ mod tests {
         for _ in 0..3 {
             driver.step(&mut state, &sweep).unwrap();
         }
-        let cache = driver.enumeration_cache().unwrap();
-        assert_eq!(cache.rebuilds, 1, "static graphs enumerate once");
-        assert_eq!(cache.reuses, 2);
+        let once = CacheUse {
+            rebuilds: 1,
+            reuses: 2,
+        };
+        assert_eq!(
+            state.round_cache().enumerations,
+            once,
+            "static graphs enumerate once"
+        );
 
-        // A cloned state is a *different* state (fresh identity token):
-        // stepping it through the same driver must not reuse the cache.
+        // A clone copies the cache, which is valid for the copy.
         let mut other = state.clone();
         driver.step(&mut other, &sweep).unwrap();
-        assert_eq!(driver.enumeration_cache().unwrap().rebuilds, 2);
+        assert_eq!(other.round_cache().enumerations.rebuilds, 1);
+        assert_eq!(state.round_cache().enumerations, once);
 
-        // A prospective (k-hop) adoption registers a new peering link,
-        // which invalidates the enumeration on the next round.
+        // A driver under another policy re-enumerates, and drops the
+        // transits parallel to the old enumeration.
+        let khop = EvolutionConfig {
+            discovery: DiscoveryConfig {
+                policy: CandidatePolicy::PeeringKHop {
+                    k: 2,
+                    per_source_cap: 8,
+                },
+                ..config.discovery
+            },
+            ..config
+        };
+        let mut driver = EvolutionDriver::resume(khop, driver.rounds_done()).unwrap();
+        driver.step(&mut other, &sweep).unwrap();
+        assert_eq!(other.round_cache().enumerations.rebuilds, 2);
+        assert_eq!(other.round_cache().transits.rebuilds, 2);
+
+        // A prospective (k-hop) adoption registers a new peering link
+        // inside the round, which invalidates the enumeration on the
+        // next round.
         let mut state = arbitrage_state(true);
         let config = arbitrage_config(CandidatePolicy::PeeringKHop {
             k: 2,
@@ -2290,18 +2215,62 @@ mod tests {
         let mut driver = EvolutionDriver::new(config).unwrap();
         let adopted = driver.step(&mut state, &sweep).unwrap();
         assert_eq!(adopted.record.new_links, 1, "the fixture adds a link");
+        assert!(state.round_cache().enumeration.is_none());
         driver.step(&mut state, &sweep).unwrap();
-        let cache = driver.enumeration_cache().unwrap();
-        assert_eq!(cache.rebuilds, 2, "the new link forces a re-enumeration");
-        assert_eq!(cache.reuses, 0);
+        let cache = state.round_cache();
+        assert_eq!(
+            cache.enumerations,
+            CacheUse {
+                rebuilds: 2,
+                reuses: 0
+            },
+            "the new link forces a re-enumeration"
+        );
+        assert_eq!(cache.transits.rebuilds, 2, "and a transit rebuild");
+
+        // So does a link registered by an adoption outside any round.
+        let mut state = arbitrage_state(true);
+        let mut driver = EvolutionDriver::new(EvolutionConfig {
+            adopt_top: 1,
+            min_surplus: 1e6,
+            ..config
+        })
+        .unwrap();
+        driver.step(&mut state, &sweep).unwrap();
+        assert!(state.round_cache().enumeration.is_some());
+        let (x, y) = (
+            state.graph().index_of(X).unwrap(),
+            state.graph().index_of(Y).unwrap(),
+        );
+        let outcome = evaluate_candidate(
+            &BatchContext::new(state.graph(), state.econ(), state.flows()).unwrap(),
+            &mut PairScratch::new(),
+            CandidatePair {
+                x: x.min(y),
+                y: x.max(y),
+                peering_hops: 2,
+            },
+            1.0,
+            0.0,
+            3,
+        )
+        .unwrap();
+        let agreement = state.adopt_outcome(&outcome, 3, 1e-6, 1).unwrap().unwrap();
+        assert!(agreement.new_link);
+        assert!(state.round_cache().enumeration.is_none());
+        assert!(state.round_cache().transit.is_none());
     }
 
     #[test]
     fn full_engine_transit_cache_reuses_across_static_rounds() {
         // Static peering graph, no shocks: the transit table fills on
         // round 0 and later rounds reuse it — while producing exactly
-        // the trajectory a cache-less driver (fresh per round, so every
-        // transit re-derived) produces.
+        // the trajectory of rounds stepped cold, each on a state and
+        // driver restored from the previous round's checkpoint (so every
+        // transit is re-derived). The warm run replaces its driver
+        // mid-run through `resume`, as the serving layer does for a
+        // `step` with a shock override: the cache lives on the state, so
+        // the new driver steps warm.
         let config = EvolutionConfig {
             discovery: DiscoveryConfig {
                 grid: 3,
@@ -2316,34 +2285,90 @@ mod tests {
         let mut state = synthetic_state(200, 23);
         let mut driver = EvolutionDriver::new(config).unwrap();
         let mut warm = Vec::new();
-        for _ in 0..3 {
+        for round in 0..3 {
+            if round == 1 {
+                driver = EvolutionDriver::resume(config, driver.rounds_done()).unwrap();
+            }
             warm.push(driver.step(&mut state, &sweep).unwrap());
         }
-        let cache = driver.full_cache().expect("full engine engaged");
-        assert_eq!(cache.rebuilds, 1, "static graphs derive transits once");
-        assert_eq!(cache.reuses, 2);
-        assert!(
-            driver.resident_bytes() > 0 && state.resident_bytes() > 0,
-            "resident accounting covers the caches and the state"
+        let cache = state.round_cache();
+        assert_eq!(
+            cache.transits,
+            CacheUse {
+                rebuilds: 1,
+                reuses: 2
+            },
+            "static graphs derive transits once, across the driver swap"
         );
+        assert!(cache.resident_bytes() > 0);
+        assert!(
+            state.resident_bytes() > cache.resident_bytes(),
+            "the state's footprint covers its round cache"
+        );
+        assert_eq!(driver.resident_bytes(), 0, "drivers hold no cache");
 
-        let mut cold_state = synthetic_state(200, 23);
+        let mut json = MarketSnapshot::capture(
+            &synthetic_state(200, 23),
+            &EvolutionDriver::new(config).unwrap(),
+            sweep.master_seed(),
+        )
+        .to_json();
         for (round, outcome) in warm.iter().enumerate() {
-            let mut cold = EvolutionDriver::resume(config, round).unwrap();
+            let (mut cold_state, mut cold) =
+                MarketSnapshot::from_json(&json).unwrap().restore().unwrap();
             let fresh = cold.step(&mut cold_state, &sweep).unwrap();
+            assert_eq!(cold_state.round_cache().transits.rebuilds, 1);
+            assert_eq!(cold_state.round_cache().transits.reuses, 0);
             assert_eq!(
                 fresh.record.with_zeroed_timing(),
                 outcome.record.with_zeroed_timing(),
                 "round {round} diverged from the cold reference"
             );
             assert_eq!(fresh.agreements, outcome.agreements);
+            json = MarketSnapshot::capture(&cold_state, &cold, sweep.master_seed()).to_json();
         }
+    }
+
+    #[test]
+    fn noisy_rounds_leave_the_transit_table_unallocated() {
+        let config = EvolutionConfig {
+            discovery: DiscoveryConfig {
+                noise: 0.1,
+                grid: 3,
+                ..DiscoveryConfig::default()
+            },
+            rounds: 2,
+            adopt_top: 5,
+            min_surplus: 1e-3,
+            shock: 0.2,
+        };
+        let mut state = synthetic_state(200, 23);
+        let report = evolve(&mut state, &config, &ScenarioSweep::sequential(3)).unwrap();
+        assert_eq!(report.rounds.len(), 2);
+        let cache = state.round_cache();
+        assert!(cache.transit.is_none(), "noisy rounds read no transits");
+        assert_eq!(
+            cache.transits,
+            CacheUse {
+                rebuilds: 2,
+                reuses: 0
+            },
+            "every round counts its transit table as cold"
+        );
+        assert_eq!(
+            cache.enumerations,
+            CacheUse {
+                rebuilds: 1,
+                reuses: 1
+            }
+        );
     }
 
     /// Out-of-band mutation between driver rounds, mimicking a serving
     /// layer adopting an advisory answer on the resident market: the
-    /// driver's cross-round caches must not hide the change from the
-    /// next round.
+    /// state's round cache must not hide the change from the next round.
+    /// A prospective pair is preferred, so that under a k-hop policy the
+    /// adoption registers a peering link.
     fn external_adopt(state: &mut MarketState, config: &EvolutionConfig, round: usize) {
         let graph = state.graph();
         let node = (0..graph.node_count() as u32)
@@ -2351,10 +2376,12 @@ mod tests {
             .unwrap();
         let asn = graph.asn_at(node);
         let report = advise(state, &config.discovery, asn, 0, &ThreadPool::new(1)).unwrap();
-        let best = report
-            .outcomes
-            .iter()
-            .find(|o| o.cash.is_some() && o.surplus > config.min_surplus)
+        let adoptable = |o: &&PairOutcome| o.cash.is_some() && o.surplus > config.min_surplus;
+        let mut adoptable = report.outcomes.iter().filter(adoptable);
+        let best = adoptable
+            .clone()
+            .find(|o| o.peering_hops > 1)
+            .or_else(|| adoptable.next())
             .cloned();
         if let Some(best) = best {
             state
@@ -2372,21 +2399,28 @@ mod tests {
 
             /// Random markets, random run parameters, random
             /// interleavings of {rounds, shocks, external adoptions}: a
-            /// warm driver, at threads 1 and 4, must produce the
-            /// trajectory and checkpoint of a cold driver rebuilt every
-            /// round (every cross-round cache empty).
+            /// warm run, at threads 1 and 4, must produce the trajectory
+            /// and checkpoint of a cold run that steps every round on a
+            /// state and driver restored from a checkpoint taken before
+            /// it (every cross-round cache empty). The k-hop policy lets
+            /// in-round and external adoptions register peering links.
             #[test]
             fn random_markets_evolve_identically_on_warm_and_cold_drivers(
                 ases in 200usize..320,
                 net_seed in 0u64..64,
                 master_seed in 0u64..64,
-                shock in prop_oneof![Just(0.0), Just(0.3)],
+                shock in prop_oneof![Just(0.0), Just(0.3), Just(1.0)],
                 adopt_top in 3usize..9,
                 rounds in 2usize..5,
                 external in prop::bool::ANY,
+                policy in prop_oneof![
+                    Just(CandidatePolicy::PeeringAdjacent),
+                    Just(CandidatePolicy::PeeringKHop { k: 2, per_source_cap: 8 }),
+                ],
             ) {
                 let config = EvolutionConfig {
                     discovery: DiscoveryConfig {
+                        policy,
                         grid: 3,
                         ..DiscoveryConfig::default()
                     },
@@ -2402,12 +2436,15 @@ mod tests {
                     let mut agreements = Vec::new();
                     for round in 0..rounds {
                         if cold {
-                            driver = EvolutionDriver::resume(config, round).unwrap();
+                            let json = MarketSnapshot::capture(&state, &driver, sweep.master_seed())
+                                .to_json();
+                            (state, driver) =
+                                MarketSnapshot::from_json(&json).unwrap().restore().unwrap();
                         }
                         let outcome = driver.step(&mut state, sweep).unwrap();
                         records.push(outcome.record.with_zeroed_timing());
                         agreements.extend(outcome.agreements);
-                        if external && round == 0 {
+                        if external {
                             external_adopt(&mut state, &config, round);
                         }
                     }

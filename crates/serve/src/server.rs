@@ -23,7 +23,7 @@
 //! per-AS `advise` cache keyed by the market's
 //! [generation counter](MarketState::generation), which pan-core bumps
 //! on every adoption and every perturbation pass (traffic drift, price
-//! shocks / pricing-epoch changes, link failures) — so a repeat query
+//! shocks, link failures) — so a repeat query
 //! against an unchanged market answers from memory in microseconds,
 //! and any state change invalidates exactly by key comparison.
 //! `restore` replaces the state *instance*, whose generation counter
@@ -727,7 +727,8 @@ fn handle_step(
     let session = service.market_mut(market)?;
     if let Some(shock) = shock {
         // Re-validate through the driver constructor so an out-of-range
-        // override cannot poison the resident config.
+        // override cannot poison the resident config. The round caches
+        // live on the state, so the replaced driver steps warm.
         let config = EvolutionConfig {
             shock,
             ..*session.driver.config()
@@ -1000,16 +1001,19 @@ mod tests {
 
     use super::*;
 
-    /// Satellite regression: the `stats` resident-bytes figure is the
-    /// state's and driver's own capacity-based accounting plus the
-    /// advise cache — not the old shape-derived `n²` flow estimate,
-    /// which overstated a packed flow matrix quadratically.
+    /// The `stats` resident-bytes figure is the state's and driver's
+    /// own capacity-based accounting (the state's covers the round cache
+    /// a step leaves on it) plus the advise cache — not the old
+    /// shape-derived `n²` flow estimate, which overstated a packed flow
+    /// matrix quadratically.
     #[test]
     fn session_resident_bytes_tracks_state_driver_and_cache() {
         let mut b = AsGraphBuilder::new();
         b.add_link(Asn::new(1), Asn::new(2), Relationship::ProviderToCustomer)
             .unwrap();
         b.add_link(Asn::new(1), Asn::new(3), Relationship::ProviderToCustomer)
+            .unwrap();
+        b.add_link(Asn::new(2), Asn::new(3), Relationship::PeerToPeer)
             .unwrap();
         let graph = b.build().unwrap();
         let econ = DenseEconomics::build(
@@ -1047,6 +1051,14 @@ mod tests {
             rounds_stepped: 0,
         };
 
+        let unstepped = session.state.resident_bytes();
+        let sweep = ScenarioSweep::sequential(session.seed);
+        session.driver.step(&mut session.state, &sweep).unwrap();
+        assert!(
+            session.state.resident_bytes() > unstepped,
+            "the round cache counts in the state's footprint"
+        );
+        assert_eq!(session.driver.resident_bytes(), 0);
         let base = session.resident_bytes();
         assert_eq!(
             base,
