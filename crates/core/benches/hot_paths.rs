@@ -4,8 +4,9 @@
 //! - [`NodePrograms::build`]: the once-per-round collapse of every
 //!   node's beneficiary-side deltas at fixed shares (amortized across
 //!   all pairs of a noise-free round);
-//! - [`derive_pair_transit`]: the per-pair, flow-independent exclusion
-//!   walk the full engine caches across static rounds — on a sample of
+//! - [`derive_pair_transit`]: the per-pair exclusion walk, a function of
+//!   the graph alone, that the full engine keeps with the candidate
+//!   enumeration until the peering graph changes — on a sample of
 //!   candidate pairs, and on a stub/tier-1 pair, where the walk gallops
 //!   from the short list into the long one on both sides;
 //! - [`evaluate_candidate_with`]: the per-pair grid search that remains
@@ -61,7 +62,7 @@ fn hot_paths(c: &mut Criterion) {
         b.iter(|| {
             let mut excluded = 0usize;
             for &pair in &sample {
-                let transit = derive_pair_transit(&ctx, pair);
+                let transit = derive_pair_transit(&net.graph, pair);
                 excluded += transit.heap_bytes();
             }
             black_box(excluded)
@@ -89,14 +90,14 @@ fn hot_paths(c: &mut Criterion) {
         peering_hops: 1,
     };
     group.bench_function("derive_pair_transit_stub_tier1", |b| {
-        b.iter(|| black_box(derive_pair_transit(&ctx, black_box(stub_tier1)).heap_bytes()));
+        b.iter(|| black_box(derive_pair_transit(graph, black_box(stub_tier1)).heap_bytes()));
     });
 
     group.bench_function("evaluate_candidate_with_24_pairs", |b| {
         let programs = NodePrograms::build(&ctx, 0.5, 0.2).expect("valid shares");
         let transits: Vec<_> = sample
             .iter()
-            .map(|&pair| derive_pair_transit(&ctx, pair))
+            .map(|&pair| derive_pair_transit(&net.graph, pair))
             .collect();
         let mut scratch = PairScratch::new();
         b.iter(|| {

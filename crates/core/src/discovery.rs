@@ -29,10 +29,12 @@
 //! collapse (Σ sign·rate over the row, plus the nonlinear residue), and
 //! a per-pair `PairTransit` summary subtracts the handful of excluded
 //! targets (the beneficiary and its customers) from those per-node
-//! totals. The per-round cost of the transit correction thus scales
-//! with the excluded few instead of the ~1,500 targets an average hub
-//! pair fans out to — the difference between streaming ~234M row
-//! entries per 157k-pair round and touching almost none.
+//! totals; it depends on the graph alone, and evaluation folds the
+//! current rates of its excluded providers. The per-round cost of the
+//! transit correction thus scales with the excluded few instead of the
+//! ~1,500 targets an average hub pair fans out to — the difference
+//! between streaming ~234M row entries per 157k-pair round and touching
+//! almost none.
 //!
 //! [`evaluate_candidate_legacy`] runs the same grid through the original
 //! allocation-heavy [`AgreementScenario`] path; it is the correctness
@@ -1179,7 +1181,9 @@ pub struct NodePrograms {
     /// its row (position order) — the transit-side twin of the own-row
     /// collapse. A pair's grant targets are the partner's providers and
     /// peers minus a small §VI exclusion set, so the per-target linear
-    /// fold becomes this sum minus the pair's [`SideTransit::excl_lin`].
+    /// fold becomes this sum minus the rates of the pair's excluded
+    /// provider entries, folded at evaluation time from the same rate
+    /// row ([`SideTransit::excluded_rate`]).
     transit_lin: Vec<f64>,
     /// CSR of nonlinear provider/peer entry positions per node
     /// (ascending); the rare targets that still price per grid point.
@@ -1368,9 +1372,9 @@ fn collapse_node(
 
 /// The pair-specific transit structure of one candidate: everything
 /// [`evaluate_candidate_with`] needs beyond the per-node programs, and
-/// a pure function of the graph and the (transit) pricing tables alone —
-/// flows never enter, so the evolution engine caches these across
-/// rounds and only rebuilds them when topology or pricing changes.
+/// a pure function of the graph alone — neither flows nor prices enter,
+/// so the evolution engine keeps these with the candidate enumeration
+/// and drops them only when the peering graph changes.
 #[derive(Debug, Clone, Default)]
 pub struct PairTransit {
     /// `[x-side, y-side]`, beneficiary order as in [`CandidatePair`].
@@ -1385,7 +1389,7 @@ impl PairTransit {
     pub fn heap_bytes(&self) -> usize {
         self.sides
             .iter()
-            .map(|s| s.excl_nonlinear.capacity() * std::mem::size_of::<u32>())
+            .map(|s| s.excluded_providers.capacity() * std::mem::size_of::<u32>())
             .sum()
     }
 }
@@ -1402,56 +1406,58 @@ pub(crate) struct SideTransit {
     /// provider (possible for prospective k-hop pairs), which
     /// invalidates the node's cached own-row collapse.
     provider_adjacent: bool,
-    /// `Σ sign·rate` over the excluded linear entries (position order),
-    /// subtracted from the partner's [`NodePrograms::transit_lin`] sum.
-    excl_lin: f64,
-    /// Excluded nonlinear entry positions (ascending), skipped when the
-    /// partner's nonlinear transit entries are merged.
-    excl_nonlinear: Vec<u32>,
+    /// Excluded positions in the partner's provider segment
+    /// (ascending). Excluded peer entries are left out: their rate lane
+    /// is always `+0.0` and they are never nonlinear, so they change
+    /// neither fold. Empty, and unallocated, on nearly every side.
+    excluded_providers: Vec<u32>,
 }
 
-/// Derives the transit structure of `pair`; see [`PairTransit`]. Each
-/// side folds the positions of the §VI exclusion walk
-/// (`for_each_excluded`) in ascending order, so the cost per side is
-/// `O(s·log(l/s + 1))` for the shorter `s` and longer `l` of the
-/// beneficiary's customer segment and each of the partner's provider
-/// and peer segments — no per-target membership probes and no
+impl SideTransit {
+    /// `Σ sign·rate` over the excluded entries, folded in position
+    /// order from `+0.0` out of the partner's current `signed_rate_row`:
+    /// the amount to subtract from its [`NodePrograms::transit_lin`].
+    /// Nonlinear entries hold `+0.0` there, which leaves the sum
+    /// unchanged, so this is bitwise the fold over the linear ones.
+    fn excluded_rate(&self, partner_rates: &[f64]) -> f64 {
+        self.excluded_providers
+            .iter()
+            .fold(0.0, |sum, &pos| sum + partner_rates[pos as usize])
+    }
+}
+
+/// Derives the transit structure of `pair` from the graph; see
+/// [`PairTransit`]. Each side counts the positions of the §VI exclusion
+/// walk (`for_each_excluded`) and keeps the provider ones, so the cost
+/// per side is `O(s·log(l/s + 1))` for the shorter `s` and longer `l`
+/// of the beneficiary's customer segment and each of the partner's
+/// provider and peer segments — no per-target membership probes and no
 /// materialized target list.
-pub fn derive_pair_transit(ctx: &BatchContext<'_>, pair: CandidatePair) -> PairTransit {
+pub fn derive_pair_transit(graph: &AsGraph, pair: CandidatePair) -> PairTransit {
     PairTransit {
         sides: [
-            derive_side_transit(ctx, pair.x, pair.y),
-            derive_side_transit(ctx, pair.y, pair.x),
+            derive_side_transit(graph, pair.x, pair.y),
+            derive_side_transit(graph, pair.y, pair.x),
         ],
     }
 }
 
 /// One side of [`derive_pair_transit`]: the exclusion summary of
 /// `beneficiary`'s grant targets in `partner`'s row.
-fn derive_side_transit(ctx: &BatchContext<'_>, beneficiary: u32, partner: u32) -> SideTransit {
-    let graph = ctx.graph;
-    let (_, e_end) = graph.class_boundaries(partner);
+fn derive_side_transit(graph: &AsGraph, beneficiary: u32, partner: u32) -> SideTransit {
+    let (p_end, e_end) = graph.class_boundaries(partner);
     let mut excluded = 0usize;
-    let mut excl_lin = 0.0f64;
-    let mut excl_nonlinear = Vec::new();
-    // SoA lanes for the excluded entries: zero rates are stored for the
-    // entries the dispatching loop skipped, so accumulating them keeps
-    // `excl_lin` bit-identical (see `signed_rate_row`).
-    let rates = ctx.econ.signed_rate_row(partner);
-    let nonlinear = ctx.econ.nonlinear_row(partner);
+    let mut excluded_providers = Vec::new();
     for_each_excluded(graph, beneficiary, partner, |pos| {
         excluded += 1;
-        if nonlinear[pos] {
-            excl_nonlinear.push(pos as u32);
-        } else {
-            excl_lin += rates[pos];
+        if pos < p_end {
+            excluded_providers.push(pos as u32);
         }
     });
     SideTransit {
         nsegs: (e_end - excluded) as u32,
         provider_adjacent: graph.has_neighbor_kind(beneficiary, partner, NeighborKind::Provider),
-        excl_lin,
-        excl_nonlinear,
+        excluded_providers,
     }
 }
 
@@ -1540,9 +1546,10 @@ pub fn evaluate_candidate_with(
     // (totals only), out on each of side i's target links in the
     // partner's row, split evenly across the segments. The per-target
     // linear fold collapses to the partner's precomputed segment sum
-    // minus the pair's exclusions; nonlinear target entries merge with
-    // the partner's own spill so combined coefficients price exactly
-    // once, as the per-pair accumulation does.
+    // minus the current rates of the pair's excluded providers;
+    // nonlinear target entries merge with the partner's own spill so
+    // combined coefficients price exactly once, as the per-pair
+    // accumulation does.
     for (i, (own_side, side)) in own.iter().zip(&transit.sides).enumerate() {
         if side.nsegs == 0 {
             continue;
@@ -1555,7 +1562,8 @@ pub fn evaluate_candidate_with(
         partner.total_a += own_side.attractable + per_seg_a * nsegs_f;
         volume_r += own_side.reroutable;
         volume_a += own_side.attractable;
-        let lin_sum = programs.transit_lin[partner.node as usize] - side.excl_lin;
+        let lin_sum = programs.transit_lin[partner.node as usize]
+            - side.excluded_rate(ctx.econ.signed_rate_row(partner.node));
         partner.lin_r += lin_sum * per_seg_r;
         partner.lin_a += lin_sum * per_seg_a;
         let merged = if i == 0 {
@@ -1563,7 +1571,9 @@ pub fn evaluate_candidate_with(
         } else {
             &mut sx.nonlinear
         };
-        let mut excl = side.excl_nonlinear.iter().copied().peekable();
+        // The excluded list holds linear positions too; none equals a
+        // nonlinear one, so they are passed over like any gap.
+        let mut excl = side.excluded_providers.iter().copied().peekable();
         for &pos in programs.transit_nonlinear_of(partner.node) {
             while excl.peek().is_some_and(|&e| e < pos) {
                 excl.next();
@@ -2155,7 +2165,7 @@ pub(crate) mod tests {
         pair: CandidatePair,
         grid: usize,
     ) -> Result<PairOutcome> {
-        let transit = derive_pair_transit(ctx, pair);
+        let transit = derive_pair_transit(ctx.graph, pair);
         evaluate_candidate_with(ctx, programs, &transit, scratch, pair, grid)
     }
 
@@ -2626,19 +2636,23 @@ pub(crate) mod tests {
 
     /// The two-pointer merge of each provider/peer segment against the
     /// whole customer segment that `derive_side_transit` ran before the
-    /// galloping walk: `(nsegs, excl_lin, excl_nonlinear)`.
+    /// galloping walk, folding the rates as it did before transits
+    /// became price-free: `(nsegs, excluded provider positions,
+    /// Σ sign·rate over the excluded linear entries, excluded nonlinear
+    /// positions)`.
     fn merge_walk_side(
         ctx: &BatchContext<'_>,
         beneficiary: u32,
         partner: u32,
-    ) -> (u32, f64, Vec<u32>) {
+    ) -> (u32, Vec<u32>, f64, Vec<u32>) {
         let graph = ctx.graph;
         let (p_end, e_end) = graph.class_boundaries(partner);
         let row = graph.neighbor_indices(partner);
         let customers = graph.customer_indices(beneficiary);
         let rates = ctx.econ.signed_rate_row(partner);
         let nonlinear = ctx.econ.nonlinear_row(partner);
-        let (mut excluded, mut excl_lin, mut excl_nonlinear) = (0usize, 0.0f64, Vec::new());
+        let (mut excluded, mut providers) = (0usize, Vec::new());
+        let (mut excl_lin, mut excl_nonlinear) = (0.0f64, Vec::new());
         for (start, end) in [(0, p_end), (p_end, e_end)] {
             let mut c = 0usize;
             for (pos, &t) in row[start..end].iter().enumerate() {
@@ -2653,6 +2667,9 @@ pub(crate) mod tests {
                     }
                 }
                 excluded += 1;
+                if pos < p_end {
+                    providers.push(pos as u32);
+                }
                 if nonlinear[pos] {
                     excl_nonlinear.push(pos as u32);
                 } else {
@@ -2660,7 +2677,12 @@ pub(crate) mod tests {
                 }
             }
         }
-        ((e_end - excluded) as u32, excl_lin, excl_nonlinear)
+        (
+            (e_end - excluded) as u32,
+            providers,
+            excl_lin,
+            excl_nonlinear,
+        )
     }
 
     /// A random CSR graph of `n` nodes: ASNs are unrelated to index
@@ -2704,15 +2726,47 @@ pub(crate) mod tests {
             })
     }
 
+    /// Checks one price-free transit side against the merge walk on the
+    /// pricing tables of `ctx`, and the naive filter's provider
+    /// positions: the excluded providers, the evaluation-time fold
+    /// (bitwise), and its nonlinear subset.
+    fn check_side(ctx: &BatchContext<'_>, side: &SideTransit, bene: u32, partner: u32) {
+        let (p_end, _) = ctx.graph.class_boundaries(partner);
+        let naive: Vec<u32> = naive_excluded(ctx.graph, bene, partner)
+            .into_iter()
+            .filter(|&pos| pos < p_end)
+            .map(|pos| pos as u32)
+            .collect();
+        let (nsegs, providers, excl_lin, excl_nonlinear) = merge_walk_side(ctx, bene, partner);
+        assert_eq!(side.nsegs, nsegs);
+        assert_eq!(side.excluded_providers, providers);
+        assert_eq!(side.excluded_providers, naive);
+        let rates = ctx.econ.signed_rate_row(partner);
+        assert_eq!(side.excluded_rate(rates).to_bits(), excl_lin.to_bits());
+        let nonlinear = ctx.econ.nonlinear_row(partner);
+        let nonlinear_subset: Vec<u32> = side
+            .excluded_providers
+            .iter()
+            .copied()
+            .filter(|&pos| nonlinear[pos as usize])
+            .collect();
+        assert_eq!(nonlinear_subset, excl_nonlinear);
+    }
+
     /// Checks the exclusion walk, [`collect_targets`] and
     /// [`derive_pair_transit`] for every ordered pair of `graph` against
-    /// the naive filter and the merge walk, and reports which cases the
-    /// graph exercised: the beneficiary in the partner's provider
-    /// segment, in its peer segment, absent; an empty segment;
+    /// the naive filter and the merge walk — the transits once on the
+    /// tables they were derived beside, and once more after every
+    /// provider entry is rescaled by the cycled `shocks` choices (0:
+    /// kept, 1-3: × 0.0, 0.5, 1.7), which must not stale them. Reports
+    /// which cases the graph exercised: the beneficiary in the partner's
+    /// provider segment, in its peer segment, absent; an empty segment;
     /// customers shorter than a non-empty segment, customers at least
-    /// as long as one; a customer excluded by each walk direction.
-    fn check_exclusion_walk(graph: &AsGraph) -> [bool; 8] {
-        let econ = DenseEconomics::build(
+    /// as long as one; a customer excluded by each walk direction; a
+    /// nonlinear excluded provider; a rescaling that changed an excluded
+    /// provider's rate.
+    fn check_exclusion_walk(graph: &AsGraph, shocks: &[u8]) -> [bool; 10] {
+        let mut econ = DenseEconomics::build(
             graph,
             |p, c| {
                 let mix = (p.get() * 31 + c.get() * 17) % 97;
@@ -2727,8 +2781,9 @@ pub(crate) mod tests {
         );
         let flows = FlowMatrix::zeros(graph);
         let ctx = BatchContext::new(graph, &econ, &flows).unwrap();
-        let mut covered = [false; 8];
+        let mut covered = [false; 10];
         let mut targets = Vec::new();
+        let mut sides = Vec::new();
         let n = graph.node_count() as u32;
         for bene in 0..n {
             for partner in (0..n).filter(|&p| p != bene) {
@@ -2751,11 +2806,16 @@ pub(crate) mod tests {
                     y: bene.max(partner),
                     peering_hops: 1,
                 };
-                let side = &derive_pair_transit(&ctx, pair).sides[usize::from(bene != pair.x)];
-                let (nsegs, excl_lin, excl_nonlinear) = merge_walk_side(&ctx, bene, partner);
-                assert_eq!(side.nsegs, nsegs);
-                assert_eq!(side.excl_lin.to_bits(), excl_lin.to_bits());
-                assert_eq!(side.excl_nonlinear, excl_nonlinear);
+                let [x_side, y_side] = derive_pair_transit(graph, pair).sides;
+                let side = if bene == pair.x { x_side } else { y_side };
+                check_side(&ctx, &side, bene, partner);
+                let nonlinear = econ.nonlinear_row(partner);
+                covered[8] |= side
+                    .excluded_providers
+                    .iter()
+                    .any(|&pos| nonlinear[pos as usize]);
+                let before = side.excluded_rate(econ.signed_rate_row(partner));
+                sides.push((bene, partner, side, before));
 
                 let row = graph.neighbor_indices(partner);
                 let customers = graph.customer_indices(bene).len();
@@ -2778,6 +2838,25 @@ pub(crate) mod tests {
                 }
             }
         }
+
+        let mut choices = shocks.iter().cycle();
+        for node in 0..n {
+            for pos in 0..graph.class_boundaries(node).0 {
+                let factor = match choices.next() {
+                    Some(1) => 0.0,
+                    Some(2) => 0.5,
+                    Some(3) => 1.7,
+                    _ => continue,
+                };
+                econ.scale_entry_price(node, pos, factor).unwrap();
+            }
+        }
+        let ctx = BatchContext::new(graph, &econ, &flows).unwrap();
+        for (bene, partner, side, before) in &sides {
+            check_side(&ctx, side, *bene, *partner);
+            let after = side.excluded_rate(econ.signed_rate_row(*partner));
+            covered[9] |= after.to_bits() != before.to_bits();
+        }
         covered
     }
 
@@ -2786,13 +2865,15 @@ pub(crate) mod tests {
 
         /// The galloping exclusion walk yields exactly the naive
         /// filter's positions in the same order, `collect_targets` is
-        /// their complement, and `derive_pair_transit` folds them
-        /// bit-identically to the merge walk it replaced.
+        /// their complement, and a transit derived by
+        /// `derive_pair_transit` folds the current rates bit-identically
+        /// to the merge walk it replaced, before and after a repricing.
         #[test]
         fn exclusion_walk_matches_the_naive_filter_and_the_merge_walk(
             graph in exclusion_graph(),
+            shocks in prop::collection::vec(0u8..4, 1..8),
         ) {
-            check_exclusion_walk(&graph);
+            check_exclusion_walk(&graph, &shocks);
         }
     }
 
@@ -2800,13 +2881,16 @@ pub(crate) mod tests {
     fn exclusion_graphs_cover_every_walk_case() {
         let strategy = exclusion_graph();
         let mut rng = proptest::new_rng(7);
-        let mut covered = [false; 8];
+        let mut covered = [false; 10];
         for _ in 0..16 {
             let graph = strategy.sample_value(&mut rng);
-            for (seen, now) in covered.iter_mut().zip(check_exclusion_walk(&graph)) {
+            for (seen, now) in covered
+                .iter_mut()
+                .zip(check_exclusion_walk(&graph, &[0, 1, 2, 3, 2]))
+            {
                 *seen |= now;
             }
         }
-        assert_eq!(covered, [true; 8]);
+        assert_eq!(covered, [true; 10]);
     }
 }

@@ -52,13 +52,13 @@
 //!
 //! Every round re-evaluates every non-adopted candidate. The state keeps
 //! only what provably survives a round, in its `RoundCache`: the
-//! candidate enumeration (until adoption registers a new peering link)
-//! and each pair's flow-independent transit structure (until a new link
-//! or a price shock). The mutations that invalidate an entry drop it, so
-//! the cache needs no key beyond the state it lives on, and any driver
-//! stepping that state reads it warm. A warm round on a static graph
-//! therefore costs one node-program build plus one programmed evaluation
-//! per candidate.
+//! candidate enumeration and each pair's transit structure, both
+//! functions of the peering graph alone (flows and prices are read at
+//! evaluation time). A new peering link drops the two together; traffic
+//! drift and price shocks leave them. The cache needs no key beyond the
+//! state it lives on, and any driver stepping that state reads it warm.
+//! A warm round on a static graph therefore costs one node-program build
+//! plus one programmed evaluation per candidate.
 //!
 //! Caching evaluated *outcomes* and re-evaluating only pairs whose
 //! endpoint rows changed does not pay, because row-level dirtiness is
@@ -149,30 +149,23 @@ impl AdoptScratch {
 }
 
 /// What [`EvolutionDriver::step`] derives from a market and reuses
-/// across rounds: the candidate enumeration, each candidate's
-/// flow-independent [`PairTransit`], and the round's index buffers.
+/// across rounds: the candidate enumeration with each candidate's
+/// [`PairTransit`], and the round's index buffer.
 ///
-/// The cache lives on the [`MarketState`] it was derived from, and the
-/// two mutations that change its inputs drop what they invalidate:
-/// [`MarketState::adopt_outcome`] registering a new peering link drops
-/// the enumeration and the transits, and a price shock in `perturb`
-/// drops the transits. Flows never enter either table. The cache never
+/// The cache lives on the [`MarketState`] it was derived from. Both
+/// tables are functions of the peering graph alone, so the one mutation
+/// that changes their input — [`MarketState::adopt_outcome`] registering
+/// a new peering link — drops the enumeration, and its transits with it.
+/// Flows and prices never enter either table. The cache never
 /// influences results: a kept entry is bitwise what a fresh derivation
 /// would return.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RoundCache {
-    /// The unfiltered enumeration under the policy it was enumerated
-    /// with (adopted pairs included: the adopted set changes every
-    /// round, so filtering happens per round).
-    enumeration: Option<(CandidatePolicy, Vec<CandidatePair>)>,
-    /// Parallel to the enumeration: each pair's transit structure,
-    /// derived lazily by the first noise-free round that evaluates it.
-    /// Noisy rounds never read it, so they never allocate it.
-    transit: Option<Vec<Option<PairTransit>>>,
+    /// The candidate enumeration and its transits, while the peering
+    /// graph they were derived from stands.
+    enumeration: Option<Enumeration>,
     /// Round scratch: this round's non-adopted enumeration indices.
     filtered: Vec<u32>,
-    /// Round scratch: filtered indices whose transit slot is empty.
-    missing: Vec<u32>,
     /// Ranked outcomes the previous round's adoption scan read — the
     /// size of this round's first ranked chunk. Rounds of one market
     /// scan to similar depths, so one selection usually covers the
@@ -184,6 +177,20 @@ pub(crate) struct RoundCache {
     /// then builds one; a noisy round needs none), and rounds that found
     /// one kept from an earlier round.
     pub(crate) transits: CacheUse,
+}
+
+/// A cached candidate enumeration and the transit table that lives and
+/// dies with it.
+#[derive(Debug, Clone)]
+struct Enumeration {
+    policy: CandidatePolicy,
+    /// The unfiltered enumeration (adopted pairs included: the adopted
+    /// set changes every round, so filtering happens per round).
+    pairs: Vec<CandidatePair>,
+    /// Parallel to `pairs`: each pair's transit structure, derived for
+    /// the whole enumeration by the first noise-free round that finds it
+    /// missing. Noisy rounds never read it, so they never allocate it.
+    transit: Option<Vec<PairTransit>>,
 }
 
 /// How often a cached table was rebuilt and how often a round reused
@@ -209,28 +216,17 @@ impl CacheUse {
 }
 
 impl RoundCache {
-    /// Drops what the peering graph determines (the enumeration and the
-    /// transits); the round scratch and the scan depth carry over.
-    fn drop_graph_derived(&mut self) {
-        self.enumeration = None;
-        self.transit = None;
-    }
-
     /// Bytes resident in the cache's tables and buffers.
     fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
-        let pairs = self.enumeration.as_ref().map_or(0, |(_, pairs)| {
-            pairs.capacity() * size_of::<CandidatePair>()
+        let enumeration = self.enumeration.as_ref().map_or(0, |e| {
+            let transit = e.transit.as_ref().map_or(0, |transit| {
+                transit.capacity() * size_of::<PairTransit>()
+                    + transit.iter().map(PairTransit::heap_bytes).sum::<usize>()
+            });
+            e.pairs.capacity() * size_of::<CandidatePair>() + transit
         });
-        let transit = self.transit.as_ref().map_or(0, |transit| {
-            transit.capacity() * size_of::<Option<PairTransit>>()
-                + transit
-                    .iter()
-                    .flatten()
-                    .map(PairTransit::heap_bytes)
-                    .sum::<usize>()
-        });
-        pairs + transit + (self.filtered.capacity() + self.missing.capacity()) * size_of::<u32>()
+        enumeration + self.filtered.capacity() * size_of::<u32>()
     }
 }
 
@@ -500,8 +496,9 @@ impl MarketState {
             self.flows = self.flows.remapped(&self.graph, &next)?;
             self.graph = next;
             // Remapping is index-stable and only the parties' rows gain a
-            // slot, but the cached enumeration and transits are now stale.
-            self.round_cache.drop_graph_derived();
+            // slot, but the cached enumeration and its transits are now
+            // stale.
+            self.round_cache.enumeration = None;
         }
         self.materialize(x, y, outcome.shares, (cash.reroute, cash.attract));
         // Eq. (10)–(11): X pays Π_{X→Y} to Y (negative = Y pays X).
@@ -696,11 +693,6 @@ impl MarketState {
                 self.econ.scale_entry_price(j, back, factor)?;
                 price_shocks += 1;
             }
-        }
-        if price_shocks > 0 {
-            // Transit structures fold transit rates; dropping them all is
-            // cheaper than tracking which links repriced.
-            self.round_cache.transit = None;
         }
         // Pass 3: peering-link failures.
         let mut failed_links = 0usize;
@@ -1045,10 +1037,13 @@ impl EvolutionDriver {
             // under a different policy).
             let _span = pan_telemetry::histogram("core.phase.enumerate_ns").start();
             let policy = config.discovery.policy;
-            let rebuilt = cache.enumeration.as_ref().is_none_or(|(p, _)| *p != policy);
+            let rebuilt = !matches!(&cache.enumeration, Some(e) if e.policy == policy);
             if rebuilt {
-                cache.transit = None;
-                cache.enumeration = Some((policy, enumerate_candidates(&state.graph, policy)));
+                cache.enumeration = Some(Enumeration {
+                    policy,
+                    pairs: enumerate_candidates(&state.graph, policy),
+                    transit: None,
+                });
             }
             cache.enumerations.count(
                 rebuilt,
@@ -1060,8 +1055,9 @@ impl EvolutionDriver {
         }
         // Counted on every round, noisy or not, so that the transit
         // reuse share is a share of rounds.
+        let transit_missing = !matches!(&cache.enumeration, Some(e) if e.transit.is_some());
         cache.transits.count(
-            cache.transit.is_none(),
+            transit_missing,
             [
                 "core.cache.full_engine.rebuilds",
                 "core.cache.full_engine.reuses",
@@ -1072,7 +1068,7 @@ impl EvolutionDriver {
             // This round's adoptions registered peering links while the
             // cache was out of the state, so `adopt_outcome` could not
             // drop it.
-            cache.drop_graph_derived();
+            cache.enumeration = None;
         }
         state.round_cache = cache;
         let total_flow = state.flows.grand_total();
@@ -1137,10 +1133,11 @@ fn full_round(
     cache: &mut RoundCache,
     round: usize,
 ) -> Result<RoundScan> {
-    let (_, pairs) = cache
+    let Enumeration { pairs, transit, .. } = cache
         .enumeration
-        .as_ref()
+        .as_mut()
         .expect("the round enumerated before evaluating");
+    let pairs = &*pairs;
     // 1. This round's candidate view: the non-adopted enumeration
     // indices, in enumeration order (reusing the cache's buffer). The
     // sweeps below hand workers row-locality tiles of consecutive
@@ -1164,9 +1161,8 @@ fn full_round(
         if config.discovery.noise == 0.0 {
             // Noise-free sweeps evaluate through the shared per-node
             // collapse — one row walk per node per round instead of one
-            // per candidate. Transit structures are flow-independent, so
-            // they live in the round cache across rounds; only empty
-            // slots are derived here, in parallel.
+            // per candidate. Transits depend on the graph alone, so they
+            // live with the enumeration; a round without them derives all.
             let programs = {
                 let _span = pan_telemetry::histogram("core.phase.programs_ns").start();
                 NodePrograms::build(
@@ -1175,29 +1171,22 @@ fn full_round(
                     config.discovery.attract_share,
                 )?
             };
-            let transit = cache.transit.get_or_insert_with(|| vec![None; pairs.len()]);
-            let mut missing = std::mem::take(&mut cache.missing);
-            missing.clear();
-            missing.extend(
-                filtered
-                    .iter()
-                    .copied()
-                    .filter(|&index| transit[index as usize].is_none()),
-            );
-            if !missing.is_empty() {
+            let transit = &*transit.get_or_insert_with(|| {
                 let _span = pan_telemetry::histogram("core.phase.derive_transit_ns").start();
-                let derived = round_sweep.map_with_tiled(
-                    &missing,
+                // The table outlives every later round's temporaries. It is
+                // allocated before the sweep's, and the copy re-allocates the
+                // few exclusion lists on this thread, out of the workers'
+                // allocator arenas: kept where the sweep left them, they
+                // raised the 10k-AS markets' peak RSS by 10-15%.
+                let mut table = Vec::with_capacity(pairs.len());
+                table.extend_from_slice(&round_sweep.map_with_tiled(
+                    pairs,
                     CANDIDATE_TILE,
                     || (),
-                    |(), _i, &index, _rng| derive_pair_transit(&ctx, pairs[index as usize]),
-                );
-                for (&index, pair_transit) in missing.iter().zip(derived) {
-                    transit[index as usize] = Some(pair_transit);
-                }
-            }
-            cache.missing = missing;
-            let transit = &*transit;
+                    |(), _i, &pair, _rng| derive_pair_transit(&state.graph, pair),
+                ));
+                table
+            });
             let _span = pan_telemetry::histogram("core.phase.evaluate_ns").start();
             round_sweep.map_with_tiled(
                 &filtered,
@@ -1207,9 +1196,7 @@ fn full_round(
                     evaluate_candidate_with(
                         &ctx,
                         &programs,
-                        transit[index as usize]
-                            .as_ref()
-                            .expect("every filtered pair's transit slot was just filled"),
+                        &transit[index as usize],
                         scratch,
                         pairs[index as usize],
                         config.discovery.grid,
@@ -2257,75 +2244,84 @@ mod tests {
         .unwrap();
         let agreement = state.adopt_outcome(&outcome, 3, 1e-6, 1).unwrap().unwrap();
         assert!(agreement.new_link);
-        assert!(state.round_cache().enumeration.is_none());
-        assert!(state.round_cache().transit.is_none());
+        assert!(
+            state.round_cache().enumeration.is_none(),
+            "the enumeration drops, and its transits with it"
+        );
     }
 
     #[test]
     fn full_engine_transit_cache_reuses_across_static_rounds() {
-        // Static peering graph, no shocks: the transit table fills on
-        // round 0 and later rounds reuse it — while producing exactly
-        // the trajectory of rounds stepped cold, each on a state and
-        // driver restored from the previous round's checkpoint (so every
+        // Static peering graph, without and with price shocks: the
+        // transit table fills on round 0 and later rounds reuse it —
+        // transits depend on the graph alone, so a shock's repricing is
+        // read at evaluation time — while producing exactly the
+        // trajectory of rounds stepped cold, each on a state and driver
+        // restored from the previous round's checkpoint (so every
         // transit is re-derived). The warm run replaces its driver
         // mid-run through `resume`, as the serving layer does for a
         // `step` with a shock override: the cache lives on the state, so
         // the new driver steps warm.
-        let config = EvolutionConfig {
-            discovery: DiscoveryConfig {
-                grid: 3,
-                ..DiscoveryConfig::default()
-            },
-            rounds: 3,
-            adopt_top: 5,
-            min_surplus: 1e-3,
-            shock: 0.0,
-        };
-        let sweep = ScenarioSweep::sequential(9);
-        let mut state = synthetic_state(200, 23);
-        let mut driver = EvolutionDriver::new(config).unwrap();
-        let mut warm = Vec::new();
-        for round in 0..3 {
-            if round == 1 {
-                driver = EvolutionDriver::resume(config, driver.rounds_done()).unwrap();
+        for shock in [0.0, 0.2] {
+            let config = EvolutionConfig {
+                discovery: DiscoveryConfig {
+                    grid: 3,
+                    ..DiscoveryConfig::default()
+                },
+                rounds: 3,
+                adopt_top: 5,
+                min_surplus: 1e-3,
+                shock,
+            };
+            let sweep = ScenarioSweep::sequential(9);
+            let mut state = synthetic_state(200, 23);
+            let mut driver = EvolutionDriver::new(config).unwrap();
+            let mut warm = Vec::new();
+            for round in 0..3 {
+                if round == 1 {
+                    driver = EvolutionDriver::resume(config, driver.rounds_done()).unwrap();
+                }
+                warm.push(driver.step(&mut state, &sweep).unwrap());
             }
-            warm.push(driver.step(&mut state, &sweep).unwrap());
-        }
-        let cache = state.round_cache();
-        assert_eq!(
-            cache.transits,
-            CacheUse {
-                rebuilds: 1,
-                reuses: 2
-            },
-            "static graphs derive transits once, across the driver swap"
-        );
-        assert!(cache.resident_bytes() > 0);
-        assert!(
-            state.resident_bytes() > cache.resident_bytes(),
-            "the state's footprint covers its round cache"
-        );
-        assert_eq!(driver.resident_bytes(), 0, "drivers hold no cache");
-
-        let mut json = MarketSnapshot::capture(
-            &synthetic_state(200, 23),
-            &EvolutionDriver::new(config).unwrap(),
-            sweep.master_seed(),
-        )
-        .to_json();
-        for (round, outcome) in warm.iter().enumerate() {
-            let (mut cold_state, mut cold) =
-                MarketSnapshot::from_json(&json).unwrap().restore().unwrap();
-            let fresh = cold.step(&mut cold_state, &sweep).unwrap();
-            assert_eq!(cold_state.round_cache().transits.rebuilds, 1);
-            assert_eq!(cold_state.round_cache().transits.reuses, 0);
+            let price_shocks: usize = warm.iter().map(|o| o.record.price_shocks).sum();
+            assert_eq!(price_shocks > 0, shock > 0.0, "shock {shock}");
+            let cache = state.round_cache();
             assert_eq!(
-                fresh.record.with_zeroed_timing(),
-                outcome.record.with_zeroed_timing(),
-                "round {round} diverged from the cold reference"
+                cache.transits,
+                CacheUse {
+                    rebuilds: 1,
+                    reuses: 2
+                },
+                "static graphs derive transits once, across the driver swap \
+                 and any price shock (shock {shock})"
             );
-            assert_eq!(fresh.agreements, outcome.agreements);
-            json = MarketSnapshot::capture(&cold_state, &cold, sweep.master_seed()).to_json();
+            assert!(cache.resident_bytes() > 0);
+            assert!(
+                state.resident_bytes() > cache.resident_bytes(),
+                "the state's footprint covers its round cache"
+            );
+            assert_eq!(driver.resident_bytes(), 0, "drivers hold no cache");
+
+            let mut json = MarketSnapshot::capture(
+                &synthetic_state(200, 23),
+                &EvolutionDriver::new(config).unwrap(),
+                sweep.master_seed(),
+            )
+            .to_json();
+            for (round, outcome) in warm.iter().enumerate() {
+                let (mut cold_state, mut cold) =
+                    MarketSnapshot::from_json(&json).unwrap().restore().unwrap();
+                let fresh = cold.step(&mut cold_state, &sweep).unwrap();
+                assert_eq!(cold_state.round_cache().transits.rebuilds, 1);
+                assert_eq!(cold_state.round_cache().transits.reuses, 0);
+                assert_eq!(
+                    fresh.record.with_zeroed_timing(),
+                    outcome.record.with_zeroed_timing(),
+                    "round {round} diverged from the cold reference (shock {shock})"
+                );
+                assert_eq!(fresh.agreements, outcome.agreements);
+                json = MarketSnapshot::capture(&cold_state, &cold, sweep.master_seed()).to_json();
+            }
         }
     }
 
@@ -2346,7 +2342,10 @@ mod tests {
         let report = evolve(&mut state, &config, &ScenarioSweep::sequential(3)).unwrap();
         assert_eq!(report.rounds.len(), 2);
         let cache = state.round_cache();
-        assert!(cache.transit.is_none(), "noisy rounds read no transits");
+        assert!(
+            cache.enumeration.as_ref().unwrap().transit.is_none(),
+            "noisy rounds read no transits"
+        );
         assert_eq!(
             cache.transits,
             CacheUse {
@@ -2390,6 +2389,39 @@ mod tests {
         }
     }
 
+    /// The bookkeeping every round must leave intact: NBS transfers
+    /// only move cash between parties (the ledger sums to zero up to
+    /// rounding), no flow is negative, both entries of every link carry
+    /// the same volume, and the topology passes its own validation.
+    fn assert_market_invariants(state: &MarketState) {
+        let graph = state.graph();
+        let n = graph.node_count() as u32;
+        let (sum, magnitude) = (0..n)
+            .map(|i| state.cash_balance(i))
+            .fold((0.0, 0.0), |(sum, magnitude), c| {
+                (sum + c, magnitude + c.abs())
+            });
+        assert!(
+            sum.abs() <= 1e-9 * magnitude,
+            "cash ledger sums to {sum} over a magnitude of {magnitude}"
+        );
+        let flows = state.flows();
+        for i in 0..n {
+            assert!(flows.end_host(i) >= 0.0, "node {i}'s end-host flow");
+            for (pos, &j) in graph.neighbor_indices(i).iter().enumerate() {
+                let here = flows.flow(i, pos);
+                assert!(here >= 0.0, "flow ({i}, {pos}) is {here}");
+                let back = graph.neighbor_position(j, i).unwrap();
+                let there = flows.flow(j, back);
+                assert!(
+                    (here - there).abs() <= 1e-12 * here.abs().max(there.abs()),
+                    "link {i}-{j} carries {here} on one entry and {there} on the other"
+                );
+            }
+        }
+        graph.validate().unwrap();
+    }
+
     mod differential {
         use super::*;
         use proptest::prelude::*;
@@ -2404,6 +2436,7 @@ mod tests {
             /// state and driver restored from a checkpoint taken before
             /// it (every cross-round cache empty). The k-hop policy lets
             /// in-round and external adoptions register peering links.
+            /// Every warm round leaves the market invariants intact.
             #[test]
             fn random_markets_evolve_identically_on_warm_and_cold_drivers(
                 ases in 200usize..320,
@@ -2446,6 +2479,9 @@ mod tests {
                         agreements.extend(outcome.agreements);
                         if external {
                             external_adopt(&mut state, &config, round);
+                        }
+                        if !cold {
+                            assert_market_invariants(&state);
                         }
                     }
                     let json =

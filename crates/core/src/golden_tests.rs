@@ -157,7 +157,7 @@ fn programmed_evaluator_matches_pre_soa_golden() {
     let mut words = Vec::new();
     let mut evaluated = 0usize;
     for &pair in candidates.iter().step_by(3) {
-        let transit = derive_pair_transit(&ctx, pair);
+        let transit = derive_pair_transit(&net.graph, pair);
         let outcome =
             evaluate_candidate_with(&ctx, &programs, &transit, &mut scratch, pair, 4).unwrap();
         words.extend(outcome_words(&outcome));
@@ -184,7 +184,7 @@ fn sweep_all(ctx: &BatchContext<'_>, net: &SyntheticInternet) {
     let programs = NodePrograms::build(ctx, 0.5, 0.2).unwrap();
     let mut scratch = PairScratch::new();
     for pair in enumerate_candidates(&net.graph, CandidatePolicy::PeeringAdjacent) {
-        let transit = derive_pair_transit(ctx, pair);
+        let transit = derive_pair_transit(&net.graph, pair);
         evaluate_candidate_with(ctx, &programs, &transit, &mut scratch, pair, 4).unwrap();
     }
 }
