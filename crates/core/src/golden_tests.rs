@@ -10,13 +10,15 @@
 
 use pan_datasets::{InternetConfig, SyntheticInternet};
 use pan_econ::{CostFunction, DenseEconomics, FlowMatrix, PricingFunction};
+use rand::SeedableRng;
+use rand_chacha::ChaCha12Rng;
 
 use pan_runtime::{ScenarioSweep, ThreadPool};
 
 use crate::discovery::{
     derive_pair_transit, discover, enumerate_candidates, evaluate_candidate,
-    evaluate_candidate_with, BatchContext, CandidatePolicy, DiscoveryConfig, NodePrograms,
-    PairOutcome, PairScratch,
+    evaluate_candidate_with, BatchContext, CandidatePair, CandidatePolicy, DiscoveryConfig,
+    NodePrograms, PairOutcome, PairScratch,
 };
 use crate::dynamics::{advise, MarketState};
 
@@ -168,6 +170,134 @@ fn programmed_evaluator_matches_pre_soa_golden() {
     assert_eq!(
         digest, GOLDEN_PROGRAMMED,
         "programmed evaluator drifted from the pre-SoA golden: 0x{digest:016x}"
+    );
+}
+
+/// Golden digest of the per-pair evaluator on the edge-case set of
+/// [`per_pair_evaluator_matches_edge_case_golden`], captured from the
+/// scatter/gather row walk (per-position coefficient buffers) that the
+/// streaming walk replaced.
+const GOLDEN_PER_PAIR_EDGES: u64 = 0xd376_93ce_a132_438a;
+
+/// Zeroes both mirror entries of a salted subset of provider and peer
+/// links, as link failures leave the flow table, and the end-host flow
+/// of a salted subset of ASes.
+fn fail_links(net: &SyntheticInternet, flows: &mut FlowMatrix) {
+    let graph = &net.graph;
+    for node in 0..graph.node_count() as u32 {
+        let (_, e_end) = graph.class_boundaries(node);
+        for (pos, &other) in graph.neighbor_indices(node)[..e_end].iter().enumerate() {
+            let salt =
+                u64::from(graph.asn_at(node).get()) * 7 + u64::from(graph.asn_at(other).get());
+            let mirror_salt =
+                u64::from(graph.asn_at(other).get()) * 7 + u64::from(graph.asn_at(node).get());
+            if salt % 5 == 0 || mirror_salt % 5 == 0 {
+                flows.set(node, pos, 0.0);
+                let back = graph.neighbor_position(other, node).expect("symmetric CSR");
+                flows.set(other, back, 0.0);
+            }
+        }
+        if graph.asn_at(node).get() % 9 == 0 {
+            flows.set_end_host(node, 0.0);
+        }
+    }
+}
+
+/// The edge cases of the per-pair row walk that the PeeringAdjacent
+/// golden at fixed shares leaves out: jittered shares (with exact
+/// `0.0` and `1.0` draws), prospective k-hop pairs (zero-segment sides
+/// on stub sources), partners that are also the beneficiary's provider,
+/// parties whose rows hold excluded providers with flow, and provider and peer flows zeroed as link failures leave them (the
+/// `f <= 0` skips of the own-row walk).
+#[test]
+fn per_pair_evaluator_matches_edge_case_golden() {
+    let (net, econ, mut flows) = mixed_fixture();
+    fail_links(&net, &mut flows);
+    let graph = &net.graph;
+    let ctx = BatchContext::new(graph, &econ, &flows).unwrap();
+    let mut candidates: Vec<CandidatePair> =
+        enumerate_candidates(graph, CandidatePolicy::PeeringAdjacent)
+            .into_iter()
+            .step_by(2)
+            .collect();
+    candidates.extend(enumerate_candidates(
+        graph,
+        CandidatePolicy::PeeringKHop {
+            k: 2,
+            per_source_cap: 4,
+        },
+    ));
+    // Provider-adjacent partners: the enumerators never emit them, but
+    // the evaluator contract covers them. Synthetic internets index
+    // every provider below its customers, so the reversed pair is the
+    // one that puts the partner among x's own providers.
+    for node in (0..graph.node_count() as u32).step_by(5) {
+        if let Some(&provider) = graph.provider_indices(node).first() {
+            for (x, y) in [(provider, node), (node, provider)] {
+                candidates.push(CandidatePair {
+                    x,
+                    y,
+                    peering_hops: 2,
+                });
+            }
+        }
+    }
+    // A party two provider hops above the other: the provider between
+    // them is a customer of one and a provider of the other, so the
+    // lower party's row holds an excluded provider that it still
+    // reroutes from.
+    for node in (0..graph.node_count() as u32).step_by(3) {
+        let grand = graph
+            .provider_indices(node)
+            .first()
+            .and_then(|&p| graph.provider_indices(p).first());
+        if let (Some(&grand), false) = (grand, graph.customer_indices(node).is_empty()) {
+            candidates.push(CandidatePair {
+                x: grand,
+                y: node,
+                peering_hops: 2,
+            });
+        }
+    }
+    let config = DiscoveryConfig {
+        noise: 0.4,
+        ..DiscoveryConfig::default()
+    };
+    let mut rng = ChaCha12Rng::seed_from_u64(20);
+    let mut scratch = PairScratch::new();
+    let mut words = Vec::new();
+    let (mut zero_segment, mut provider_adjacent) = (0usize, 0usize);
+    for (i, &pair) in candidates.iter().enumerate() {
+        let (reroute, attract) = config.jittered_shares(&mut rng);
+        let shares = match i % 7 {
+            0 => (0.0, attract),
+            1 => (1.0, attract),
+            2 => (reroute, 0.0),
+            3 => (reroute, 1.0),
+            4 => (1.0, 0.0),
+            _ => (reroute, attract),
+        };
+        let grid = 2 + i % 4;
+        let outcome =
+            evaluate_candidate(&ctx, &mut scratch, pair, shares.0, shares.1, grid).unwrap();
+        zero_segment += usize::from(outcome.segments.0 == 0 || outcome.segments.1 == 0);
+        provider_adjacent += usize::from(
+            graph.provider_indices(pair.x).contains(&pair.y)
+                || graph.provider_indices(pair.y).contains(&pair.x),
+        );
+        words.extend(outcome_words(&outcome));
+    }
+    assert!(zero_segment > 0, "no zero-segment side");
+    assert!(provider_adjacent > 10, "too few provider-adjacent pairs");
+    assert!(
+        candidates.len() > 300,
+        "fixture too small: {}",
+        candidates.len()
+    );
+    let digest = fnv1a(words);
+    assert_eq!(
+        digest, GOLDEN_PER_PAIR_EDGES,
+        "per-pair evaluator drifted from the edge-case golden: 0x{digest:016x}"
     );
 }
 
