@@ -10,19 +10,23 @@
 //!   candidate pairs, and on a stub/tier-1 pair, where the walk gallops
 //!   from the short list into the long one on both sides;
 //! - [`evaluate_candidate_with`]: the per-pair grid search that remains
-//!   on the hot path every round.
+//!   on the hot path every noise-free round;
+//! - [`evaluate_candidate`]: the streaming row walk over both parties'
+//!   packed rows, on the same 24 pairs at jittered shares — the
+//!   evaluator of every noisy round, of `discover`, of a cold `advise`
+//!   and of each adoption's re-evaluation.
 //!
-//! Together they decompose the cost of one full-engine round, so a
-//! regression in any layer shows up here before it shows up in the
-//! `evolve` wall-clock. Runs in the CI `bench-smoke` job via
+//! Together they decompose the cost of one round, so a regression in
+//! any layer shows up here before it shows up in the `evolve`
+//! wall-clock. Runs in the CI `bench-smoke` job via
 //! `cargo bench -p pan-core -- --quick`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use pan_core::discovery::{
-    derive_pair_transit, enumerate_candidates, evaluate_candidate_with, BatchContext,
-    CandidatePair, CandidatePolicy, NodePrograms, PairScratch,
+    derive_pair_transit, enumerate_candidates, evaluate_candidate, evaluate_candidate_with,
+    BatchContext, CandidatePair, CandidatePolicy, NodePrograms, PairScratch,
 };
 use pan_datasets::{InternetConfig, SyntheticInternet};
 use pan_econ::{CostFunction, DenseEconomics, FlowMatrix, PricingFunction};
@@ -104,6 +108,27 @@ fn hot_paths(c: &mut Criterion) {
             let mut surplus = 0.0;
             for (&pair, transit) in sample.iter().zip(&transits) {
                 surplus += evaluate_candidate_with(&ctx, &programs, transit, &mut scratch, pair, 5)
+                    .expect("evaluation succeeds")
+                    .surplus;
+            }
+            black_box(surplus)
+        });
+    });
+
+    group.bench_function("evaluate_candidate_jittered_24_pairs", |b| {
+        // ±10% jitter around the default shares, as a noisy round draws
+        // them, fixed per pair so every iteration does the same work.
+        let shares: Vec<(f64, f64)> = (0..sample.len())
+            .map(|i| {
+                let jitter = ((i * 7) % 21) as f64 / 100.0 - 0.1;
+                (0.5 * (1.0 + jitter), 0.2 * (1.0 - jitter))
+            })
+            .collect();
+        let mut scratch = PairScratch::new();
+        b.iter(|| {
+            let mut surplus = 0.0;
+            for (&pair, &(reroute, attract)) in sample.iter().zip(&shares) {
+                surplus += evaluate_candidate(&ctx, &mut scratch, pair, reroute, attract, 5)
                     .expect("evaluation succeeds")
                     .surplus;
             }

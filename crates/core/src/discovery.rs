@@ -647,35 +647,26 @@ impl Iterator for ChunkedRanking<'_> {
     }
 }
 
-/// Reusable per-worker buffers for pair evaluation: per-row delta
-/// coefficients (indexed by packed row position), the touched-position
-/// lists that make resetting O(touched), and the nonlinear-entry
-/// spill lists.
+/// Reusable per-worker buffers for pair evaluation: each party's
+/// nonlinear-entry spill and the §VI exclusion positions of each
+/// party's row. Both evaluators clear what they use before reading it,
+/// so reusing one scratch across pairs never changes a result.
 #[derive(Debug, Clone, Default)]
 pub struct PairScratch {
-    side: [SideScratch; 2],
-}
-
-#[derive(Debug, Clone, Default)]
-struct SideScratch {
-    /// Coefficient of `r` per touched row position.
-    coeff_r: Vec<f64>,
-    /// Coefficient of `a` per touched row position.
-    coeff_a: Vec<f64>,
-    /// Whether a position is already on the `touched` list (coefficients
-    /// can be zero for genuinely touched entries, so zero-ness is not a
-    /// usable marker).
-    marked: Vec<bool>,
-    touched: Vec<u32>,
-    /// Entries whose pricing does not collapse linearly:
-    /// `(baseline flow, A, B, entry index into the party's row)`.
-    nonlinear: Vec<(f64, f64, f64, u32)>,
-    /// Grant-target positions in the *partner's* row.
-    targets: Vec<u32>,
+    /// Per party `[x, y]`: the row entries whose pricing does not
+    /// collapse linearly, `(baseline flow, A, B, position in the
+    /// party's row)`, priced per grid point.
+    nonlinear: [Vec<(f64, f64, f64, u32)>; 2],
+    /// Per party `[x, y]`: the positions of the party's provider/peer
+    /// segments that the *other* party's grant leaves out
+    /// ([`for_each_excluded`] with the other party as beneficiary),
+    /// ascending. The rest of those segments are the other party's
+    /// grant targets.
+    excluded: [Vec<u32>; 2],
 }
 
 impl PairScratch {
-    /// Creates empty scratch (buffers grow to the hottest row and stay).
+    /// Creates empty scratch (buffers grow to the largest pair and stay).
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -686,45 +677,15 @@ impl PairScratch {
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.side
+        self.nonlinear
             .iter()
-            .map(|s| {
-                (s.coeff_r.capacity() + s.coeff_a.capacity()) * size_of::<f64>()
-                    + s.marked.capacity() * size_of::<bool>()
-                    + (s.touched.capacity() + s.targets.capacity()) * size_of::<u32>()
-                    + s.nonlinear.capacity() * size_of::<(f64, f64, f64, u32)>()
-            })
+            .map(|v| v.capacity() * size_of::<(f64, f64, f64, u32)>())
+            .chain(
+                self.excluded
+                    .iter()
+                    .map(|v| v.capacity() * size_of::<u32>()),
+            )
             .sum()
-    }
-}
-
-impl SideScratch {
-    fn ensure(&mut self, row_len: usize) {
-        if self.coeff_r.len() < row_len {
-            self.coeff_r.resize(row_len, 0.0);
-            self.coeff_a.resize(row_len, 0.0);
-            self.marked.resize(row_len, false);
-        }
-    }
-
-    fn touch(&mut self, pos: usize, dr: f64, da: f64) {
-        if !self.marked[pos] {
-            self.marked[pos] = true;
-            self.touched.push(pos as u32);
-        }
-        self.coeff_r[pos] += dr;
-        self.coeff_a[pos] += da;
-    }
-
-    fn reset(&mut self) {
-        for &pos in &self.touched {
-            self.coeff_r[pos as usize] = 0.0;
-            self.coeff_a[pos as usize] = 0.0;
-            self.marked[pos as usize] = false;
-        }
-        self.touched.clear();
-        self.nonlinear.clear();
-        self.targets.clear();
     }
 }
 
@@ -901,6 +862,9 @@ fn gallop(graph: &AsGraph, list: &[u32], from: usize, key: Asn) -> usize {
 /// The excluded positions come from [`for_each_excluded`]; everything
 /// between them is pushed as a run, so the cost is the exclusion walk
 /// plus one push per target, with no membership probe per target.
+///
+/// Only adoption's `materialize` needs the targets as a list; both
+/// evaluators walk the runs between the exclusions in place.
 pub(crate) fn collect_targets(
     graph: &AsGraph,
     beneficiary: u32,
@@ -916,10 +880,153 @@ pub(crate) fn collect_targets(
     targets.extend(next as u32..e_end as u32);
 }
 
+/// Calls `visit` with every position of `0..end` that is not in the
+/// ascending `excluded` list, ascending: the runs of grant targets
+/// between the §VI exclusions.
+fn for_each_kept(excluded: &[u32], end: usize, mut visit: impl FnMut(usize)) {
+    let mut next = 0;
+    for &pos in excluded {
+        for kept in next..pos as usize {
+            visit(kept);
+        }
+        next = pos as usize + 1;
+    }
+    for kept in next..end {
+        visit(kept);
+    }
+}
+
+/// The running sums of one party's row walk in [`evaluate_candidate`]:
+/// each entry's `(r, a)` coefficients enter the party's Δtotal and, by
+/// the entry's signed rate, its linear utility; a nonlinear entry
+/// spills for per-grid-point pricing instead.
+struct RowFold<'a> {
+    total_r: f64,
+    total_a: f64,
+    lin_r: f64,
+    lin_a: f64,
+    rates: &'a [f64],
+    nonlinear: &'a [bool],
+    flows: &'a [f64],
+    spill: &'a mut Vec<(f64, f64, f64, u32)>,
+}
+
+impl<'a> RowFold<'a> {
+    /// Starts the walk of `program`'s row from the program's Δtotal
+    /// coefficients (the segment volumes added before the row).
+    fn new(
+        ctx: &BatchContext<'a>,
+        program: &PartyProgram,
+        spill: &'a mut Vec<(f64, f64, f64, u32)>,
+    ) -> Self {
+        RowFold {
+            total_r: program.total_r,
+            total_a: program.total_a,
+            lin_r: program.lin_r,
+            lin_a: program.lin_a,
+            rates: ctx.econ.signed_rate_row(program.node),
+            nonlinear: ctx.econ.nonlinear_row(program.node),
+            flows: ctx.flows.row(program.node),
+            spill,
+        }
+    }
+
+    #[inline]
+    fn entry(&mut self, pos: usize, dr: f64, da: f64) {
+        self.total_r += dr;
+        self.total_a += da;
+        if self.nonlinear[pos] {
+            self.spill.push((self.flows[pos], dr, da, pos as u32));
+            return;
+        }
+        // Peers and flat-rate links hold a zero rate. Skipping their
+        // products is a bitwise identity: `dr` and `da` are finite, so
+        // the product is a signed zero, and adding a zero leaves any
+        // sum unchanged except `-0.0`, which `lin_r`/`lin_a` never
+        // hold — they start at `+0.0`, and a round-to-nearest sum is
+        // `-0.0` only when both addends are.
+        let rate = self.rates[pos];
+        if rate != 0.0 {
+            self.lin_r += rate * dr;
+            self.lin_a += rate * da;
+        }
+    }
+
+    /// Writes the sums back into `program`.
+    fn finish(self, program: &mut PartyProgram) {
+        program.total_r = self.total_r;
+        program.total_a = self.total_a;
+        program.lin_r = self.lin_r;
+        program.lin_a = self.lin_a;
+    }
+}
+
+/// One beneficiary side's volumes in [`evaluate_candidate`].
+#[derive(Clone, Copy, Default)]
+struct SideVolumes {
+    /// Total reroutable provider volume per unit of `r`.
+    reroutable: f64,
+    /// Total attractable volume per unit of `a`, end-host included.
+    attractable: f64,
+    /// The end-host share of `attractable`.
+    end_host_gain: f64,
+}
+
+/// Sums the volumes `beneficiary` moves onto the agreement: `share·f`
+/// over its providers with positive flow (the partner excluded) and
+/// over its customers with positive flow, plus the end-host gain.
+fn side_volumes(
+    ctx: &BatchContext<'_>,
+    beneficiary: u32,
+    partner: u32,
+    (reroute_share, attract_share): (f64, f64),
+) -> SideVolumes {
+    let (p_end, e_end) = ctx.graph.class_boundaries(beneficiary);
+    let row = ctx.graph.neighbor_indices(beneficiary);
+    let flows = ctx.flows.row(beneficiary);
+    let mut reroutable = 0.0;
+    for (&p, &f) in row[..p_end].iter().zip(flows) {
+        if p != partner && f > 0.0 {
+            reroutable += reroute_share * f;
+        }
+    }
+    let mut attractable = 0.0;
+    for &f in &flows[e_end..row.len()] {
+        if f > 0.0 {
+            attractable += attract_share * f;
+        }
+    }
+    let end_host_gain = attract_share * ctx.flows.end_host(beneficiary);
+    attractable += end_host_gain;
+    SideVolumes {
+        reroutable,
+        attractable,
+        end_host_gain,
+    }
+}
+
 /// Evaluates one candidate pair on the dense tables over the uniform
 /// operating-point grid; the math of Eq. (3)/(7) with the default
 /// opportunity synthesis of
 /// [`AgreementScenario::with_default_opportunities`].
+///
+/// The two packed rows are streamed once each, after one pass over each
+/// beneficiary's own providers and customers for its segment volumes.
+/// Every row entry the agreement moves is folded as it is reached, in a
+/// fixed order:
+///
+/// - **x's row:** x's providers with positive flow (the partner
+///   excluded), carrying y's per-segment transit where the position is
+///   one of y's grant targets; x's customers with positive flow; then
+///   the remaining targets of y (providers without flow, then peers).
+/// - **y's row:** x's grant targets, carrying y's own reroute where the
+///   position is a provider with positive flow; y's excluded providers
+///   with positive flow; y's customers with positive flow.
+///
+/// A side without grant targets moves nothing of its own. The grant
+/// targets are the runs between the [`for_each_excluded`] positions,
+/// so no target list is built and no position is probed for
+/// membership.
 ///
 /// # Errors
 ///
@@ -954,126 +1061,134 @@ pub fn evaluate_candidate(
     let graph = ctx.graph;
     let (x, y) = (pair.x, pair.y);
     debug_assert!(x != y, "candidate pairs have distinct parties");
+    let PairScratch {
+        nonlinear: [spill_x, spill_y],
+        excluded: [excl_x, excl_y],
+    } = scratch;
 
-    // Phase 1: grant targets of both sides (positions in partner rows).
-    let [sx, sy] = &mut scratch.side;
-    sx.reset();
-    sy.reset();
-    collect_targets(graph, x, y, &mut sx.targets); // x's gains, in y's row
-    collect_targets(graph, y, x, &mut sy.targets); // y's gains, in x's row
-    sx.ensure(graph.degree_of_index(x) + 1);
-    sy.ensure(graph.degree_of_index(y) + 1);
-
-    // Phase 2: accumulate per-entry (r, a) coefficients for both rows.
+    // The §VI exclusions of each row: y's gains leave out positions of
+    // x's row, x's gains positions of y's row. The rest of the
+    // provider/peer segment are the grant targets.
+    excl_x.clear();
+    excl_y.clear();
+    for_each_excluded(graph, y, x, |pos| excl_x.push(pos as u32));
+    for_each_excluded(graph, x, y, |pos| excl_y.push(pos as u32));
+    let (px_end, ex_end) = graph.class_boundaries(x);
+    let (py_end, ey_end) = graph.class_boundaries(y);
+    // x's gains are y's targets in y's row, and the other way round.
+    let segments = [ey_end - excl_y.len(), ex_end - excl_x.len()];
     let mut programs = [
-        PartyProgram::new(ctx, x, sx.targets.len()),
-        PartyProgram::new(ctx, y, sy.targets.len()),
+        PartyProgram::new(ctx, x, segments[0]),
+        PartyProgram::new(ctx, y, segments[1]),
     ];
 
-    // Beneficiary-side deltas, and the induced partner-side transit.
-    // Volume coefficients of the whole agreement (for the "any volume"
-    // conclusion test): total rerouted volume per unit of `r` and total
-    // attracted volume per unit of `a`.
+    // Each beneficiary's segment volume flows to the partner over their
+    // settlement-free link (Δtotal only, on both ends) and leaves the
+    // partner split evenly across the targets. A side without targets
+    // moves nothing.
+    let shares = (reroute_share, attract_share);
+    let mut per_seg = [(0.0, 0.0); 2];
     let mut volume_r = 0.0;
     let mut volume_a = 0.0;
     for side in 0..2 {
-        let (bene, partner) = if side == 0 { (x, y) } else { (y, x) };
-        let nsegs = programs[side].segments;
-        if nsegs == 0 {
+        if segments[side] == 0 {
             continue;
         }
-        let (p_end, e_end) = graph.class_boundaries(bene);
-        let row = graph.neighbor_indices(bene);
-        let [s0, s1] = &mut scratch.side;
-        let (sb, sp) = if side == 0 { (s0, s1) } else { (s1, s0) };
-        // Total reroutable volume R (per unit of r) and attractable
-        // volume T (per unit of a), aggregated across the beneficiary's
-        // nsegs segments (the per-segment split cancels on its own row).
-        let mut reroutable = 0.0;
-        let mut attractable = 0.0;
-        for (pos, &p) in row[..p_end].iter().enumerate() {
-            if p == partner {
-                continue;
-            }
-            let f = ctx.flows.flow(bene, pos);
-            if f <= 0.0 {
-                continue;
-            }
-            let moved = reroute_share * f;
-            sb.touch(pos, -moved, 0.0);
-            reroutable += moved;
+        let (bene, partner) = if side == 0 { (x, y) } else { (y, x) };
+        let v = side_volumes(ctx, bene, partner, shares);
+        programs[side].end_host_a = v.end_host_gain;
+        for program in &mut programs {
+            program.total_r += v.reroutable;
+            program.total_a += v.attractable;
         }
-        for pos in e_end..row.len() {
-            let f = ctx.flows.flow(bene, pos);
-            if f <= 0.0 {
-                continue;
-            }
-            let gained = attract_share * f;
-            sb.touch(pos, 0.0, gained);
-            attractable += gained;
-        }
-        let end_host_gain = attract_share * ctx.flows.end_host(bene);
-        attractable += end_host_gain;
-        programs[side].end_host_a = end_host_gain;
-        // The beneficiary's flow towards the partner grows by the full
-        // segment volume. The link is (or would be) settlement-free
-        // peering, so it contributes to the total only — tracked here as
-        // untouched-entry coefficients (touched entries add theirs in
-        // phase 3, and the end-host scalar adds its own).
-        programs[side].total_r += reroutable;
-        programs[side].total_a += attractable;
-
-        // Partner side: the whole volume transits the partner — in on
-        // the beneficiary link (settlement-free, totals only), out on
-        // each target link (split evenly across the nsegs segments, as
-        // the default opportunities do).
-        let per_seg_r = reroutable / nsegs as f64;
-        let per_seg_a = attractable / nsegs as f64;
-        for i in 0..sb.targets.len() {
-            sp.touch(sb.targets[i] as usize, per_seg_r, per_seg_a);
-        }
-        let other = 1 - side;
-        programs[other].total_r += reroutable;
-        programs[other].total_a += attractable;
-        volume_r += reroutable;
-        volume_a += attractable;
+        volume_r += v.reroutable;
+        volume_a += v.attractable;
+        let nsegs = segments[side] as f64;
+        per_seg[side] = (v.reroutable / nsegs, v.attractable / nsegs);
     }
 
-    // Phase 3: collapse touched entries into linear coefficients,
-    // spilling nonlinear ones.
-    for (side, program) in programs.iter_mut().enumerate() {
-        let s = &mut scratch.side[side];
-        let node = program.node;
-        // SoA lanes replace the per-entry enum dispatch; the zero rates
-        // stored for skipped entries make the unconditional accumulate a
-        // bitwise identity with the skip loop (see `signed_rate_row`).
-        let rates = ctx.econ.signed_rate_row(node);
-        let nonlinear = ctx.econ.nonlinear_row(node);
-        for &pos in &s.touched {
-            let (dr, da) = (s.coeff_r[pos as usize], s.coeff_a[pos as usize]);
-            program.total_r += dr;
-            program.total_a += da;
-            if nonlinear[pos as usize] {
-                s.nonlinear
-                    .push((ctx.flows.flow(node, pos as usize), dr, da, pos));
-            } else {
-                program.lin_r += rates[pos as usize] * dr;
-                program.lin_a += rates[pos as usize] * da;
+    // x's row: own entries first, then y's remaining targets.
+    let [prog_x, prog_y] = &mut programs;
+    spill_x.clear();
+    let mut fold = RowFold::new(ctx, prog_x, spill_x);
+    let row = graph.neighbor_indices(x);
+    let flows = fold.flows;
+    let (pr, pa) = per_seg[1];
+    if segments[0] > 0 {
+        let mut next_excl = excl_x.iter().copied().peekable();
+        for (pos, &p) in row[..px_end].iter().enumerate() {
+            let f = flows[pos];
+            if p == y || f <= 0.0 {
+                continue;
+            }
+            let mut dr = 0.0 + -(reroute_share * f);
+            let mut da = 0.0;
+            while next_excl.next_if(|&e| (e as usize) < pos).is_some() {}
+            if next_excl.peek() != Some(&(pos as u32)) {
+                dr += pr;
+                da += pa;
+            }
+            fold.entry(pos, dr, da);
+        }
+        for (pos, &f) in flows.iter().enumerate().take(row.len()).skip(ex_end) {
+            if f > 0.0 {
+                fold.entry(pos, 0.0, 0.0 + attract_share * f);
             }
         }
+        for_each_kept(excl_x, ex_end, |pos| {
+            if pos >= px_end || flows[pos] <= 0.0 {
+                fold.entry(pos, 0.0 + pr, 0.0 + pa);
+            }
+        });
+    } else {
+        for_each_kept(excl_x, ex_end, |pos| fold.entry(pos, 0.0 + pr, 0.0 + pa));
+    }
+    fold.finish(prog_x);
+
+    // y's row: x's targets first, then y's own remaining entries.
+    spill_y.clear();
+    let mut fold = RowFold::new(ctx, prog_y, spill_y);
+    let row = graph.neighbor_indices(y);
+    let flows = fold.flows;
+    let (pr, pa) = per_seg[0];
+    let own_y = segments[1] > 0;
+    for_each_kept(excl_y, ey_end, |pos| {
+        let mut dr = 0.0 + pr;
+        let mut da = 0.0 + pa;
+        if own_y && pos < py_end && flows[pos] > 0.0 {
+            dr += -(reroute_share * flows[pos]);
+            da += 0.0;
+        }
+        fold.entry(pos, dr, da);
+    });
+    if own_y {
+        for &pos in excl_y.iter().take_while(|&&pos| (pos as usize) < py_end) {
+            let pos = pos as usize;
+            let f = flows[pos];
+            if row[pos] != x && f > 0.0 {
+                fold.entry(pos, 0.0 + -(reroute_share * f), 0.0);
+            }
+        }
+        for (pos, &f) in flows.iter().enumerate().take(row.len()).skip(ey_end) {
+            if f > 0.0 {
+                fold.entry(pos, 0.0, 0.0 + attract_share * f);
+            }
+        }
+    }
+    fold.finish(prog_y);
+
+    for program in &mut programs {
         // End-host revenue from attraction (a scalar, not a row entry).
         program.total_a += program.end_host_a;
         program.fold_scalars(ctx);
     }
-
-    let [sx, sy] = &scratch.side;
     scan_operating_points(
         ctx,
         &programs,
-        [&sx.nonlinear, &sy.nonlinear],
+        [spill_x, spill_y],
         (volume_r, volume_a),
         pair,
-        (reroute_share, attract_share),
+        shares,
         grid,
     )
 }
@@ -1497,9 +1612,9 @@ pub fn evaluate_candidate_with(
     let (x, y) = (pair.x, pair.y);
     debug_assert!(x != y, "candidate pairs have distinct parties");
 
-    let [sx, sy] = &mut scratch.side;
-    sx.reset();
-    sy.reset();
+    let [sx, sy] = &mut scratch.nonlinear;
+    sx.clear();
+    sy.clear();
 
     // Own-side programs. A side with no grant targets contributes
     // nothing (the per-pair evaluator skips it wholesale); a partner
@@ -1519,11 +1634,11 @@ pub fn evaluate_candidate_with(
                 Some(partner),
                 programs.reroute_share,
                 programs.attract_share,
-                &mut s.nonlinear,
+                s,
             );
         } else {
             own[i] = programs.nodes[bene as usize];
-            s.nonlinear.extend_from_slice(programs.nonlinear_of(bene));
+            s.extend_from_slice(programs.nonlinear_of(bene));
         }
     }
 
@@ -1566,11 +1681,7 @@ pub fn evaluate_candidate_with(
             - side.excluded_rate(ctx.econ.signed_rate_row(partner.node));
         partner.lin_r += lin_sum * per_seg_r;
         partner.lin_a += lin_sum * per_seg_a;
-        let merged = if i == 0 {
-            &mut sy.nonlinear
-        } else {
-            &mut sx.nonlinear
-        };
+        let merged = if i == 0 { &mut *sy } else { &mut *sx };
         // The excluded list holds linear positions too; none equals a
         // nonlinear one, so they are passed over like any gap.
         let mut excl = side.excluded_providers.iter().copied().peekable();
@@ -1602,7 +1713,7 @@ pub fn evaluate_candidate_with(
     scan_operating_points(
         ctx,
         &parties,
-        [&sx.nonlinear, &sy.nonlinear],
+        [sx, sy],
         (volume_r, volume_a),
         pair,
         (programs.reroute_share, programs.attract_share),
