@@ -2589,24 +2589,102 @@ pub(crate) mod tests {
 
     #[test]
     fn scratch_reuse_does_not_leak_between_pairs() {
-        let model = fig1_model();
-        let (econ, flows) = fig1_context(&model);
-        let ctx = BatchContext::new(model.graph(), &econ, &flows).unwrap();
-        let mut scratch = PairScratch::new();
-        let pair = pair_of(model.graph(), 'D', 'E');
-        let first = evaluate_candidate(&ctx, &mut scratch, pair, 0.6, 0.3, 5).unwrap();
-        // Evaluate an unrelated pair in between, then repeat.
-        let _ = evaluate_candidate(
-            &ctx,
-            &mut scratch,
-            pair_of(model.graph(), 'A', 'B'),
-            0.6,
-            0.3,
-            5,
+        use crate::golden_tests::outcome_words;
+        use pan_datasets::{InternetConfig, SyntheticInternet};
+        // A market with congestion-priced links (the nonlinear spill)
+        // and power-law internal costs on a salted minority.
+        let net = SyntheticInternet::generate(
+            &InternetConfig {
+                num_ases: 260,
+                tier1_count: 6,
+                ..InternetConfig::default()
+            },
+            31,
         )
         .unwrap();
-        let second = evaluate_candidate(&ctx, &mut scratch, pair, 0.6, 0.3, 5).unwrap();
-        assert_eq!(first, second);
+        let graph = &net.graph;
+        let econ = DenseEconomics::build(
+            graph,
+            |provider, customer| {
+                let salt = u64::from(provider.get()) * 31 + u64::from(customer.get());
+                if salt % 4 == 0 {
+                    PricingFunction::congestion(0.03, 1.4).unwrap()
+                } else {
+                    PricingFunction::per_usage(1.0 + (salt % 17) as f64 * 0.25).unwrap()
+                }
+            },
+            |asn| PricingFunction::per_usage(2.0 + f64::from(asn.get() % 3)).unwrap(),
+            |asn| {
+                if asn.get() % 13 == 0 {
+                    CostFunction::power_law(0.01, 1.4).unwrap()
+                } else {
+                    CostFunction::linear(0.03).unwrap()
+                }
+            },
+        );
+        let flows = FlowMatrix::degree_gravity(graph, 0.5);
+        let ctx = BatchContext::new(graph, &econ, &flows).unwrap();
+        let (reroute, attract, grid) = (0.55, 0.25, 4);
+        let fresh = |pair: CandidatePair| {
+            evaluate_candidate(&ctx, &mut PairScratch::new(), pair, reroute, attract, grid).unwrap()
+        };
+        let spill_len = |pair: CandidatePair| {
+            let mut scratch = PairScratch::new();
+            evaluate_candidate(&ctx, &mut scratch, pair, reroute, attract, grid).unwrap();
+            scratch.nonlinear[0].len() + scratch.nonlinear[1].len()
+        };
+        let weight = |p: &CandidatePair| graph.degree_of_index(p.x) + graph.degree_of_index(p.y);
+        let adjacent = enumerate_candidates(graph, CandidatePolicy::PeeringAdjacent);
+        let prospective = enumerate_candidates(
+            graph,
+            CandidatePolicy::PeeringKHop {
+                k: 2,
+                per_source_cap: 0,
+            },
+        );
+        let hub = *adjacent.iter().max_by_key(|p| weight(p)).unwrap();
+        let stub = *adjacent.iter().min_by_key(|p| weight(p)).unwrap();
+        let zero_segment = *prospective
+            .iter()
+            .find(|&&p| {
+                let segments = fresh(p).segments;
+                segments.0 == 0 || segments.1 == 0
+            })
+            .expect("a prospective pair with a zero-segment side");
+        let spilling = *adjacent
+            .iter()
+            .filter(|&&p| spill_len(p) > 0)
+            .min_by_key(|p| weight(p))
+            .expect("a pair with nonlinear entries");
+        let shapes = [hub, stub, zero_segment, spilling];
+        let expected: Vec<Vec<u64>> = shapes.iter().map(|&p| outcome_words(&fresh(p))).collect();
+        for order in [[0, 1, 2, 3], [3, 2, 1, 0]] {
+            let mut scratch = PairScratch::new();
+            for i in order {
+                let reused =
+                    evaluate_candidate(&ctx, &mut scratch, shapes[i], reroute, attract, grid)
+                        .unwrap();
+                assert_eq!(
+                    outcome_words(&reused),
+                    expected[i],
+                    "pair {:?} leaked state through a reused scratch (order {order:?})",
+                    shapes[i]
+                );
+            }
+            // The count covers every buffer the scratch holds: the
+            // exhaustive pattern stops compiling if one is added.
+            let PairScratch {
+                nonlinear,
+                excluded,
+            } = &scratch;
+            let held = nonlinear
+                .iter()
+                .map(|v| v.capacity() * std::mem::size_of::<(f64, f64, f64, u32)>())
+                .chain(excluded.iter().map(|v| v.capacity() * 4))
+                .sum::<usize>();
+            assert!(held > 0);
+            assert_eq!(scratch.resident_bytes(), held);
+        }
     }
 
     /// One generated outcome for the ranked-scan equivalence: surplus

@@ -35,7 +35,7 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
 }
 
 /// Every f64 an outcome carries, as raw bits in a fixed field order.
-fn outcome_words(o: &PairOutcome) -> Vec<u64> {
+pub(crate) fn outcome_words(o: &PairOutcome) -> Vec<u64> {
     let mut words = vec![
         u64::from(o.x.get()),
         u64::from(o.y.get()),
