@@ -84,9 +84,14 @@ impl Client {
     /// Sends a `step` request and collects the streamed round records;
     /// asserts the closing summary matches the round count.
     fn step(&mut self, market: &str, rounds: usize) -> Vec<RoundRecord> {
-        self.send(&format!(
+        self.step_request(&format!(
             r#"{{"v":2,"verb":"step","market":"{market}","rounds":{rounds}}}"#
-        ));
+        ))
+    }
+
+    /// Sends one `step` request line and collects its round records.
+    fn step_request(&mut self, request: &str) -> Vec<RoundRecord> {
+        self.send(request);
         let mut records = Vec::new();
         loop {
             let reply = self.recv_ok();
@@ -240,4 +245,39 @@ fn snapshot_restore_reproduces_the_uninterrupted_trajectory() {
         serde_json::to_string(&zeroed(&stitched)).unwrap(),
         serde_json::to_string(&reference).unwrap()
     );
+}
+
+#[test]
+fn a_step_shock_override_ends_with_its_request() {
+    // A market loaded without a shock: only an override can reprice.
+    let mut spec = test_spec();
+    spec.ases = 300;
+    spec.discovery.noise = 0.0;
+    spec.evolution.shock = 0.0;
+    let server = MarketServer::bind("127.0.0.1:0", 2).unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.serve(&move |_| Ok(loaded_market(&spec))));
+    let mut client = Client::connect(addr);
+    client.send(r#"{"v":2,"verb":"load","market":{}}"#);
+    client.recv_ok();
+
+    let shocked =
+        client.step_request(r#"{"v":2,"verb":"step","market":"m1","rounds":1,"shock":0.2}"#);
+    assert_eq!(shocked.len(), 1);
+    assert!(
+        shocked[0].price_shocks > 0,
+        "the override shocks its own round: {:?}",
+        shocked[0]
+    );
+    let plain = client.step("m1", 1);
+    assert_eq!(plain.len(), 1);
+    assert_eq!(plain[0].round, 1, "the round counter carries on");
+    assert_eq!(
+        plain[0].price_shocks, 0,
+        "a step without an override keeps the market's own shock"
+    );
+
+    client.send(r#"{"v":2,"verb":"quit"}"#);
+    client.recv_ok();
+    handle.join().unwrap().unwrap();
 }

@@ -30,7 +30,7 @@
 //! | `unload` | `market` | ack with the destroyed session's summary |
 //! | `list` | — | array of session summaries |
 //! | `advise` | `market`, `asn` (required), `top` (default 10) | ranked [`pan_core::PairOutcome`]s + `cached` flag |
-//! | `step` | `market`, `rounds` (default 1), `shock` (optional override) | `round` lines + summary |
+//! | `step` | `market`, `rounds` (default 1), `shock` (optional; replaces the market's shock for this request's rounds only) | `round` lines + summary |
 //! | `snapshot` | `market`, `path` | bytes written |
 //! | `restore` | `market`, `path` | session summary (state replaced in place) |
 //! | `stats` | `market` (optional) | per-market counters, or process totals + all sessions |
@@ -236,7 +236,8 @@ pub enum Request {
         market: MarketId,
         /// Rounds to run.
         rounds: usize,
-        /// Shock-magnitude override for this and later rounds.
+        /// Shock-magnitude override for this request's rounds only;
+        /// later steps use the market's own shock again.
         shock: Option<f64>,
     },
     /// Write one market to a checkpoint file.

@@ -725,13 +725,17 @@ fn handle_step(
 ) -> Result<(), WireError> {
     let pool = service.pool.clone();
     let session = service.market_mut(market)?;
+    // A shock override holds for this request's rounds only: they step
+    // a driver carrying the override, and the session's own config
+    // comes back afterwards at the round count reached, also when a
+    // round fails. Re-validating through the driver constructor keeps
+    // an out-of-range override from reaching a round. The round caches
+    // live on the state, so the swapped driver steps warm.
+    let own_config = *session.driver.config();
     if let Some(shock) = shock {
-        // Re-validate through the driver constructor so an out-of-range
-        // override cannot poison the resident config. The round caches
-        // live on the state, so the replaced driver steps warm.
         let config = EvolutionConfig {
             shock,
-            ..*session.driver.config()
+            ..own_config
         };
         session.driver =
             EvolutionDriver::resume(config, session.driver.rounds_done()).map_err(|e| {
@@ -746,13 +750,18 @@ fn handle_step(
     let mut adopted = 0usize;
     let mut adopted_surplus = 0.0;
     let mut fixed_point = false;
+    let mut failure = None;
     for _ in 0..rounds {
-        let outcome = session
-            .driver
-            .step(&mut session.state, &sweep)
-            .map_err(|e| {
-                WireError::new(ErrorCode::EvaluationFailed, format!("step failed: {e}"))
-            })?;
+        let outcome = match session.driver.step(&mut session.state, &sweep) {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                failure = Some(WireError::new(
+                    ErrorCode::EvaluationFailed,
+                    format!("step failed: {e}"),
+                ));
+                break;
+            }
+        };
         stepped += 1;
         session.rounds_stepped += 1;
         adopted += outcome.record.adopted;
@@ -770,6 +779,13 @@ fn handle_step(
         if fixed_point {
             break;
         }
+    }
+    if shock.is_some() {
+        session.driver = EvolutionDriver::resume(own_config, session.driver.rounds_done())
+            .expect("the session's own config was validated when it was loaded");
+    }
+    if let Some(failure) = failure {
+        return Err(failure);
     }
     client.send_line(&reply_ok(
         id,
