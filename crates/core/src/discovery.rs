@@ -881,11 +881,11 @@ pub(crate) fn collect_targets(
 }
 
 /// Calls `visit` with every position of `0..end` that is not in the
-/// ascending `excluded` list, ascending: the runs of grant targets
-/// between the §VI exclusions.
+/// ascending `excluded` list, ascending: the grant targets between the
+/// §VI exclusions.
 fn for_each_kept(excluded: &[u32], end: usize, mut visit: impl FnMut(usize)) {
     let mut next = 0;
-    for &pos in excluded {
+    for &pos in excluded.iter().take_while(|&&pos| (pos as usize) < end) {
         for kept in next..pos as usize {
             visit(kept);
         }
@@ -894,6 +894,14 @@ fn for_each_kept(excluded: &[u32], end: usize, mut visit: impl FnMut(usize)) {
     for kept in next..end {
         visit(kept);
     }
+}
+
+/// How many of `node`'s peers are grant targets: its peer segment
+/// minus the `excluded` positions (ascending) that fall in it.
+fn kept_peers(graph: &AsGraph, node: u32, excluded: &[u32]) -> usize {
+    let (p_end, e_end) = graph.class_boundaries(node);
+    let excluded_peers = excluded.len() - excluded.partition_point(|&pos| (pos as usize) < p_end);
+    e_end - p_end - excluded_peers
 }
 
 /// The running sums of one party's row walk in [`evaluate_candidate`]:
@@ -949,6 +957,19 @@ impl<'a> RowFold<'a> {
         if rate != 0.0 {
             self.lin_r += rate * dr;
             self.lin_a += rate * da;
+        }
+    }
+
+    /// Folds `count` peer entries that all carry `(dr, da)`. Peer links
+    /// are settlement-free: `DenseEconomics` signs every peer entry `0`
+    /// (its constructors derive the sign from the link class, and
+    /// `validate_shape` checks it) and gives a zero-sign entry a `+0.0`
+    /// rate and no nonlinear flag, so [`entry`](Self::entry) would only
+    /// add to the Δtotal sums, as this does without reading the lanes.
+    fn peers(&mut self, count: usize, dr: f64, da: f64) {
+        for _ in 0..count {
+            self.total_r += dr;
+            self.total_a += da;
         }
     }
 
@@ -1107,13 +1128,17 @@ pub fn evaluate_candidate(
         per_seg[side] = (v.reroutable / nsegs, v.attractable / nsegs);
     }
 
-    // x's row: own entries first, then y's remaining targets.
+    // x's row: own providers with flow (those among y's targets also
+    // carry y's transit) and customers with flow, then y's remaining
+    // targets: providers without flow, then peers. Each row's targets
+    // carry the other side's per-segment transit, seeded from `+0.0`
+    // as every coefficient is.
     let [prog_x, prog_y] = &mut programs;
     spill_x.clear();
     let mut fold = RowFold::new(ctx, prog_x, spill_x);
     let row = graph.neighbor_indices(x);
     let flows = fold.flows;
-    let (pr, pa) = per_seg[1];
+    let (cr, ca) = (0.0 + per_seg[1].0, 0.0 + per_seg[1].1);
     if segments[0] > 0 {
         let mut next_excl = excl_x.iter().copied().peekable();
         for (pos, &p) in row[..px_end].iter().enumerate() {
@@ -1125,8 +1150,8 @@ pub fn evaluate_candidate(
             let mut da = 0.0;
             while next_excl.next_if(|&e| (e as usize) < pos).is_some() {}
             if next_excl.peek() != Some(&(pos as u32)) {
-                dr += pr;
-                da += pa;
+                dr += per_seg[1].0;
+                da += per_seg[1].1;
             }
             fold.entry(pos, dr, da);
         }
@@ -1135,32 +1160,35 @@ pub fn evaluate_candidate(
                 fold.entry(pos, 0.0, 0.0 + attract_share * f);
             }
         }
-        for_each_kept(excl_x, ex_end, |pos| {
-            if pos >= px_end || flows[pos] <= 0.0 {
-                fold.entry(pos, 0.0 + pr, 0.0 + pa);
+        for_each_kept(excl_x, px_end, |pos| {
+            if flows[pos] <= 0.0 {
+                fold.entry(pos, cr, ca);
             }
         });
     } else {
-        for_each_kept(excl_x, ex_end, |pos| fold.entry(pos, 0.0 + pr, 0.0 + pa));
+        for_each_kept(excl_x, px_end, |pos| fold.entry(pos, cr, ca));
     }
+    fold.peers(kept_peers(graph, x, excl_x), cr, ca);
     fold.finish(prog_x);
 
-    // y's row: x's targets first, then y's own remaining entries.
+    // y's row: x's targets, providers (adding y's own reroute where the
+    // provider has flow) before peers, then y's own excluded providers
+    // with flow and customers with flow.
     spill_y.clear();
     let mut fold = RowFold::new(ctx, prog_y, spill_y);
     let row = graph.neighbor_indices(y);
     let flows = fold.flows;
-    let (pr, pa) = per_seg[0];
+    let (cr, ca) = (0.0 + per_seg[0].0, 0.0 + per_seg[0].1);
     let own_y = segments[1] > 0;
-    for_each_kept(excl_y, ey_end, |pos| {
-        let mut dr = 0.0 + pr;
-        let mut da = 0.0 + pa;
-        if own_y && pos < py_end && flows[pos] > 0.0 {
+    for_each_kept(excl_y, py_end, |pos| {
+        let (mut dr, mut da) = (cr, ca);
+        if own_y && flows[pos] > 0.0 {
             dr += -(reroute_share * flows[pos]);
             da += 0.0;
         }
         fold.entry(pos, dr, da);
     });
+    fold.peers(kept_peers(graph, y, excl_y), cr, ca);
     if own_y {
         for &pos in excl_y.iter().take_while(|&&pos| (pos as usize) < py_end) {
             let pos = pos as usize;
