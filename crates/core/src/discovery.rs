@@ -12,12 +12,13 @@
 //!    ([`CandidatePolicy::PeeringKHop`]).
 //! 2. [`evaluate_candidate`] computes both parties' agreement utilities
 //!    (Eq. 3/7) **incrementally** on the dense
-//!    [`FlowMatrix`]/[`DenseEconomics`] tables: a candidate touches
-//!    `O(degree)` row entries, each contributing a per-entry price delta,
-//!    so no flow vectors are cloned and no maps are hashed. Because the
-//!    touched deltas are linear in the uniform operating point `(r, a)`,
-//!    linear pricing collapses into two scalars per party and the
-//!    operating-point grid of Eq. (9)/(10) costs almost nothing.
+//!    [`FlowMatrix`]/[`DenseEconomics`] tables: it streams the two
+//!    parties' packed rows once each and folds every entry the agreement
+//!    moves into per-party sums as it is reached, so no flow vectors are
+//!    cloned, no maps are hashed and no per-position buffers are kept.
+//!    Because the deltas are linear in the uniform operating point
+//!    `(r, a)`, linear pricing collapses into two scalars per party and
+//!    the operating-point grid of Eq. (9)/(10) costs almost nothing.
 //! 3. [`discover`] fans the candidate list out over a
 //!    [`ScenarioSweep`] (per-worker scratch buffers, per-item RNG
 //!    streams) and returns the concluded agreements ranked by NBS
@@ -32,9 +33,12 @@
 //! totals; it depends on the graph alone, and evaluation folds the
 //! current rates of its excluded providers. The per-round cost of the
 //! transit correction thus scales with the excluded few instead of the
-//! ~1,500 targets an average hub pair fans out to — the difference
-//! between streaming ~234M row entries per 157k-pair round and touching
-//! almost none.
+//! ~1,500 targets an average pair fans out to. On the quick 10k-AS
+//! market (157k candidate pairs) the row walk of [`evaluate_candidate`]
+//! folds 236.7M row entries per sweep: 233.9M target peers, which it
+//! adds as runs without reading a lane, and 2.8M providers and
+//! customers, which it reads from the flow, rate and nonlinear lanes.
+//! The programmed variant touches almost none of them.
 //!
 //! [`evaluate_candidate_legacy`] runs the same grid through the original
 //! allocation-heavy [`AgreementScenario`] path; it is the correctness
@@ -689,7 +693,7 @@ impl PairScratch {
     }
 }
 
-/// Per-party linear collapse of the touched deltas:
+/// Per-party linear collapse of the row deltas a pair moves:
 /// `u(r, a) = lin_r·r + lin_a·a + Σ nonlinear residuals`.
 struct PartyProgram {
     node: u32,
@@ -1045,9 +1049,14 @@ fn side_volumes(
 ///   with positive flow; y's customers with positive flow.
 ///
 /// A side without grant targets moves nothing of its own. The grant
-/// targets are the runs between the [`for_each_excluded`] positions,
+/// targets are the runs between the §VI exclusion positions,
 /// so no target list is built and no position is probed for
-/// membership.
+/// membership. A row's target peers, the bulk of a hub pair's entries,
+/// all carry the same coefficients, a zero rate and no nonlinear flag:
+/// they are counted from the exclusion list and added as one run,
+/// without reading the lanes. The fold order and the `+0.0` seeding of
+/// every coefficient fix each sum bit for bit; the golden digests pin
+/// both.
 ///
 /// # Errors
 ///
@@ -1298,13 +1307,12 @@ fn scan_operating_points(
 /// The once-per-round, per-node collapse behind
 /// [`evaluate_candidate_with`]: every quantity of a pair evaluation
 /// that depends on one endpoint's row alone — the beneficiary-side
-/// reroute / attract deltas of phase 2 and their linear collapse of
-/// phase 3 — computed once per node instead of once per candidate. A
-/// hub AS with thousands of customer links sits on hundreds of
-/// candidate pairs, and the per-pair evaluator walks its full row for
-/// every one of them; a sweep's evaluation cost was
-/// `Σ_pairs (deg(x) + deg(y))` where `Σ_nodes deg(n)` plus per-pair
-/// target work suffices.
+/// reroute / attract volumes and the linear collapse of the row entries
+/// they move — computed once per node instead of once per candidate. A
+/// hub AS with thousands of links sits on hundreds of candidate pairs,
+/// and the per-pair evaluator walks its row for every one of them; a
+/// sweep's evaluation cost is `Σ_pairs (deg(x) + deg(y))` where
+/// `Σ_nodes deg(n)` plus per-pair exclusion work suffices.
 ///
 /// The collapse fixes the `(reroute, attract)` shares at build time, so
 /// it serves noise-free configurations only: share jitter makes the
@@ -1506,7 +1514,7 @@ fn collapse_node(
     side.end_host_gain = end_host_gain;
     // The flow gained toward the partner (the full segment volume) and
     // the end-host arrivals enter the node's Δtotal too, mirroring the
-    // per-pair evaluator's phase-2 + end-of-phase-3 accounting.
+    // per-pair evaluator's segment volumes and closing end-host term.
     side.total_r += side.reroutable;
     side.total_a += side.attractable;
     side.total_a += end_host_gain;
