@@ -987,7 +987,6 @@ impl<'a> RowFold<'a> {
 }
 
 /// One beneficiary side's volumes in [`evaluate_candidate`].
-#[derive(Clone, Copy, Default)]
 struct SideVolumes {
     /// Total reroutable provider volume per unit of `r`.
     reroutable: f64,
@@ -1190,12 +1189,13 @@ pub fn evaluate_candidate(
     let (cr, ca) = (0.0 + per_seg[0].0, 0.0 + per_seg[0].1);
     let own_y = segments[1] > 0;
     for_each_kept(excl_y, py_end, |pos| {
-        let (mut dr, mut da) = (cr, ca);
+        // A reroute adds `0.0` to the a-coefficient, which leaves the
+        // `+0.0`-seeded `ca` unchanged.
+        let mut dr = cr;
         if own_y && flows[pos] > 0.0 {
             dr += -(reroute_share * flows[pos]);
-            da += 0.0;
         }
-        fold.entry(pos, dr, da);
+        fold.entry(pos, dr, ca);
     });
     fold.peers(kept_peers(graph, y, excl_y), cr, ca);
     if own_y {
