@@ -1781,10 +1781,7 @@ pub fn discover(
             evaluate_candidate(ctx, scratch, pair, reroute, attract, config.grid)
         },
     );
-    let mut outcomes = Vec::with_capacity(evaluated.len());
-    for outcome in evaluated {
-        outcomes.push(outcome?);
-    }
+    let outcomes = evaluated.into_iter().collect::<Result<Vec<_>>>()?;
     Ok(DiscoveryReport::from_outcomes(outcomes, config.top))
 }
 

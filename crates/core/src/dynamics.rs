@@ -1173,19 +1173,12 @@ fn full_round(
             };
             let transit = &*transit.get_or_insert_with(|| {
                 let _span = pan_telemetry::histogram("core.phase.derive_transit_ns").start();
-                // The table outlives every later round's temporaries. It is
-                // allocated before the sweep's, and the copy re-allocates the
-                // few exclusion lists on this thread, out of the workers'
-                // allocator arenas: kept where the sweep left them, they
-                // raised the 10k-AS markets' peak RSS by 10-15%.
-                let mut table = Vec::with_capacity(pairs.len());
-                table.extend_from_slice(&round_sweep.map_with_tiled(
+                round_sweep.map_with_tiled(
                     pairs,
                     CANDIDATE_TILE,
                     || (),
                     |(), _i, &pair, _rng| derive_pair_transit(&state.graph, pair),
-                ));
-                table
+                )
             });
             let _span = pan_telemetry::histogram("core.phase.evaluate_ns").start();
             round_sweep.map_with_tiled(
@@ -1378,10 +1371,7 @@ pub fn advise(
             config.grid,
         )
     });
-    let mut outcomes = Vec::with_capacity(evaluated.len());
-    for outcome in evaluated {
-        outcomes.push(outcome?);
-    }
+    let outcomes = evaluated.into_iter().collect::<Result<Vec<_>>>()?;
     Ok(DiscoveryReport::from_outcomes(outcomes, top))
 }
 

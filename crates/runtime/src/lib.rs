@@ -8,15 +8,16 @@
 //! - [`ThreadPool`]: a hand-rolled, std-only scoped thread pool whose
 //!   `map`/`run` primitives return results in item order, independent of
 //!   thread count and scheduling;
-//! - [`ScenarioSweep`]: a deterministic parallel map-reduce over seeded
+//! - [`ScenarioSweep`]: a deterministic parallel map over seeded
 //!   scenario lists, where each work item derives its own
 //!   [`rand_chacha`] stream from `(master seed, item index)` — see the
 //!   [`sweep`] module for the derivation scheme.
 //!
 //! The crate deliberately has no dependencies beyond the workspace's
 //! `rand`/`rand_chacha` (the build is fully offline): no rayon, no
-//! crossbeam, no scoped-pool crates. `std::thread::scope` plus an atomic
-//! work cursor is all the sweeps of this workspace need.
+//! crossbeam, no scoped-pool crates. `std::thread::scope` plus one
+//! lock-guarded iterator of result tiles is all the sweeps of this
+//! workspace need.
 //!
 //! # Determinism contract
 //!

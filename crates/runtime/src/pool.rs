@@ -1,15 +1,16 @@
 //! A hand-rolled, std-only scoped thread pool.
 //!
-//! The pool distributes work items over OS threads with an atomic cursor
-//! (work stealing at item granularity) and reassembles results **in item
-//! order**, so the output of [`ThreadPool::map`] is independent of the
-//! thread count and of scheduling. Threads are spawned per call via
-//! [`std::thread::scope`]; for the coarse-grained Monte Carlo items of
-//! this workspace (one sampled AS, one negotiation cell, one activation
-//! schedule) the spawn cost is negligible against the item cost.
+//! The pool hands out tiles of work items to OS threads from one shared
+//! claim iterator (work stealing at tile granularity). Each worker writes
+//! a result straight into its item's slot of one buffer, so results come
+//! back **in item order** and the output of [`ThreadPool::map`] is
+//! independent of the thread count and of scheduling. Threads are
+//! spawned per call via [`std::thread::scope`]; for the coarse-grained
+//! Monte Carlo items of this workspace (one sampled AS, one negotiation
+//! cell, one activation schedule) the spawn cost is negligible against
+//! the item cost.
 
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -65,35 +66,22 @@ impl ThreadPool {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        self.run_with(count, || (), |(), index| f(index))
+        self.run_with_tiled(count, 1, || (), |(), index| f(index))
     }
 
-    /// Like [`run`](Self::run), but hands every worker a private scratch
-    /// state created by `init` — the pattern for sweeps that reuse
+    /// Runs `f(state, index)` for every index in `0..count` and returns
+    /// the results in index order. Every worker gets a private scratch
+    /// state created by `init`, the pattern for sweeps that reuse
     /// per-worker buffers (e.g. visited-stamp arrays) across items.
-    ///
     /// Results must not depend on the scratch state's history; the state
     /// exists to amortize allocations, not to carry information between
     /// items (which would break thread-count independence).
     ///
-    /// # Panics
-    ///
-    /// Propagates the first panic raised by `init` or `f` on any worker.
-    pub fn run_with<S, R, I, F>(&self, count: usize, init: I, f: F) -> Vec<R>
-    where
-        R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> R + Sync,
-    {
-        self.run_with_tiled(count, 1, init, f)
-    }
-
-    /// Like [`run_with`](Self::run_with), but workers claim **contiguous
-    /// tiles** of `tile` indices at a time instead of single items. `f`
-    /// still receives the original item index and results still come
-    /// back in index order, so the output is identical to
-    /// [`run_with`](Self::run_with) for any `tile` — tiling only changes
-    /// which worker runs which items, never what an item computes.
+    /// Workers claim **contiguous tiles** of `tile` indices at a time and
+    /// write each result straight into its slot of one result buffer. `f`
+    /// receives the original item index, so the output is identical for
+    /// any `tile`: tiling only changes which worker runs which items,
+    /// never what an item computes.
     ///
     /// Use a tile when consecutive items touch overlapping memory (e.g.
     /// candidate pairs sorted by row): one worker then sweeps a run of
@@ -114,8 +102,7 @@ impl ThreadPool {
             return Vec::new();
         }
         let tile = tile.max(1);
-        let tiles = count.div_ceil(tile);
-        let workers = self.threads.min(tiles);
+        let workers = self.threads.min(count.div_ceil(tile));
         // Handles acquired once per dispatch (noop until telemetry is
         // enabled); workers accumulate locally and flush once on exit,
         // so the per-item loop stays instrumentation-free.
@@ -134,8 +121,10 @@ impl ThreadPool {
         let tiles_claimed = pan_telemetry::counter("runtime.tiles.claimed");
         let cursor_overshoot = pan_telemetry::counter("runtime.cursor.overshoot");
         let dispatched = enabled.then(Instant::now);
-        let cursor = AtomicUsize::new(0);
-        let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(count));
+        let mut slots: Vec<Option<R>> = (0..count).map(|_| None).collect();
+        // The claim lock is held only to take the next tile, never
+        // while `f` runs, so a panicking item cannot poison it.
+        let tiles = Mutex::new(slots.chunks_mut(tile).enumerate());
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
@@ -145,45 +134,34 @@ impl ThreadPool {
                     }
                     let begun = enabled.then(Instant::now);
                     let mut claimed_tiles = 0u64;
-                    let mut overshoots = 0u64;
                     let mut state = init();
-                    let mut local: Vec<(usize, R)> = Vec::new();
                     loop {
-                        let claimed = cursor.fetch_add(1, Ordering::Relaxed);
-                        if claimed >= tiles {
-                            // A cursor bump past the end is a wasted
-                            // fetch_add — the drain-contention signal.
-                            overshoots += 1;
+                        // A statement of its own, so the guard drops
+                        // before the tile runs: a `while let` would
+                        // hold it through the loop body.
+                        let next = tiles
+                            .lock()
+                            .expect("no item runs under the claim lock")
+                            .next();
+                        let Some((claimed, chunk)) = next else {
                             break;
-                        }
+                        };
                         claimed_tiles += 1;
-                        let start = claimed * tile;
-                        let end = (start + tile).min(count);
-                        for index in start..end {
-                            local.push((index, f(&mut state, index)));
+                        for (index, slot) in (claimed * tile..).zip(chunk) {
+                            *slot = Some(f(&mut state, index));
                         }
                     }
                     if let Some(begun) = begun {
                         busy_ns.record_duration(begun.elapsed());
                         tiles_claimed.add(claimed_tiles);
-                        cursor_overshoot.add(overshoots);
+                        // The claim that found no tile left: the
+                        // drain-contention signal.
+                        cursor_overshoot.add(1);
                     }
-                    collected
-                        .lock()
-                        .expect("a worker panicked while extending results")
-                        .extend(local);
                 });
             }
             // `scope` joins all workers here and re-raises the first panic.
         });
-
-        let mut slots: Vec<Option<R>> = (0..count).map(|_| None).collect();
-        for (index, result) in collected
-            .into_inner()
-            .expect("all workers joined without panicking")
-        {
-            slots[index] = Some(result);
-        }
         slots
             .into_iter()
             .map(|slot| slot.expect("every index in 0..count was processed"))
@@ -201,11 +179,11 @@ impl ThreadPool {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        self.run(items.len(), |i| f(i, &items[i]))
+        self.run_with_tiled(items.len(), 1, || (), |(), i| f(i, &items[i]))
     }
 
     /// Maps `f` over `items` with a per-worker scratch state; see
-    /// [`run_with`](Self::run_with).
+    /// [`run_with_tiled`](Self::run_with_tiled).
     ///
     /// # Panics
     ///
@@ -217,7 +195,7 @@ impl ThreadPool {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize, &T) -> R + Sync,
     {
-        self.run_with(items.len(), init, |state, i| f(state, i, &items[i]))
+        self.run_with_tiled(items.len(), 1, init, |state, i| f(state, i, &items[i]))
     }
 }
 
@@ -230,6 +208,7 @@ impl Default for ThreadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn map_preserves_order_at_any_thread_count() {
@@ -292,8 +271,9 @@ mod tests {
         // which fails if states were shared, reused, or created per item.
         let pool = ThreadPool::new(3);
         let next_id = AtomicUsize::new(0);
-        let out = pool.run_with(
+        let out = pool.run_with_tiled(
             16,
+            1,
             || (next_id.fetch_add(1, Ordering::Relaxed), 0usize),
             |(worker, seen), i| {
                 *seen += 1;
@@ -324,13 +304,36 @@ mod tests {
     fn tiled_runs_match_item_granularity_for_any_tile() {
         let items: Vec<usize> = (0..101).collect();
         let reference: Vec<usize> = items.iter().map(|x| x * 7 + 1).collect();
+        // Heap-owning results over a prime count, so every tile above one
+        // leaves a short last tile.
+        let words: Vec<String> = (0..97).map(|i| format!("item-{i}")).collect();
         for threads in [1, 3, 8] {
             let pool = ThreadPool::new(threads);
             for tile in [0, 1, 2, 16, 101, 500] {
                 let out = pool.run_with_tiled(items.len(), tile, || (), |(), i| items[i] * 7 + 1);
                 assert_eq!(out, reference, "tile {tile} at {threads} threads diverged");
+                let out =
+                    pool.run_with_tiled(words.len(), tile, || (), |(), i| format!("item-{i}"));
+                assert_eq!(out, words, "tile {tile} at {threads} threads diverged");
             }
         }
+    }
+
+    #[test]
+    #[should_panic]
+    fn panic_in_a_middle_tile_propagates() {
+        // Item 21 sits in the middle tile of 8 tiles of 5; the other
+        // workers keep claiming tiles and must still drain and join.
+        let pool = ThreadPool::new(4);
+        let _ = pool.run_with_tiled(
+            40,
+            5,
+            || (),
+            |(), i| {
+                assert!(i != 21, "item 21 explodes");
+                i.to_string()
+            },
+        );
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub fn coordinator_rng(master_seed: u64) -> ChaCha12Rng {
     ChaCha12Rng::seed_from_u64(master_seed)
 }
 
-/// A deterministic parallel map-reduce over a seeded scenario list.
+/// A deterministic parallel map over a seeded scenario list.
 ///
 /// Combines a [`ThreadPool`] with the module's seed-derivation scheme:
 /// every item receives its own [`ChaCha12Rng`], and results come back in
@@ -96,18 +96,6 @@ impl ScenarioSweep {
         }
     }
 
-    /// The underlying pool.
-    #[must_use]
-    pub fn pool(&self) -> &ThreadPool {
-        &self.pool
-    }
-
-    /// The worker count of the underlying pool.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
     /// The coordinator RNG (stream 0); see [`coordinator_rng`].
     #[must_use]
     pub fn coordinator_rng(&self) -> ChaCha12Rng {
@@ -145,49 +133,14 @@ impl ScenarioSweep {
             .map(items, |i, item| f(i, item, item_rng(self.master_seed, i)))
     }
 
-    /// Like [`run`](Self::run), but hands every worker a private scratch
-    /// state created by `init` (see [`ThreadPool::run_with`]) *and* every
-    /// item its derived RNG stream. The combination batch discovery
-    /// needs: reusable per-worker buffers without sacrificing
-    /// thread-count-independent randomness.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first panic raised by `init` or `f` on any worker.
-    pub fn run_with<S, R, I, F>(&self, count: usize, init: I, f: F) -> Vec<R>
-    where
-        R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, ChaCha12Rng) -> R + Sync,
-    {
-        self.pool.run_with(count, init, |state, i| {
-            f(state, i, item_rng(self.master_seed, i))
-        })
-    }
-
-    /// Maps `f` over `items` with a per-worker scratch state and
-    /// per-item RNG streams; see [`run_with`](Self::run_with).
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first panic raised by `init` or `f` on any worker.
-    pub fn map_with<S, T, R, I, F>(&self, items: &[T], init: I, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, &T, ChaCha12Rng) -> R + Sync,
-    {
-        self.run_with(items.len(), init, |state, i, rng| {
-            f(state, i, &items[i], rng)
-        })
-    }
-
-    /// [`map_with`](Self::map_with) with locality tiling: workers claim
-    /// contiguous runs of `tile` items (see
+    /// Maps `f(state, index, item, rng)` over `items` with a per-worker
+    /// scratch state, derived per-item streams and locality tiling:
+    /// workers claim contiguous runs of `tile` items (see
     /// [`ThreadPool::run_with_tiled`]). Item RNG streams stay keyed by
-    /// the item's index, so the output is bit-identical to
-    /// [`map_with`](Self::map_with) for any tile and thread count.
+    /// the item's index, so the output is bit-identical for any tile and
+    /// thread count. The combination batch discovery needs: reusable
+    /// per-worker buffers without sacrificing thread-count-independent
+    /// randomness.
     ///
     /// # Panics
     ///
@@ -203,21 +156,6 @@ impl ScenarioSweep {
             .run_with_tiled(items.len(), tile, init, |state, i| {
                 f(state, i, &items[i], item_rng(self.master_seed, i))
             })
-    }
-
-    /// Map-reduce: maps `f` over `0..count` and folds the results in
-    /// index order, so the reduction is as deterministic as the map.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first panic raised by `f` on any worker thread.
-    pub fn run_reduce<R, A, F, G>(&self, count: usize, f: F, accumulator: A, fold: G) -> A
-    where
-        R: Send,
-        F: Fn(usize, ChaCha12Rng) -> R + Sync,
-        G: FnMut(A, R) -> A,
-    {
-        self.run(count, f).into_iter().fold(accumulator, fold)
     }
 }
 
@@ -248,7 +186,6 @@ mod tests {
     fn reseeded_sweeps_share_the_pool_but_not_the_streams() {
         let sweep = ScenarioSweep::new(ThreadPool::new(3), 7);
         let other = sweep.reseeded(8);
-        assert_eq!(other.threads(), sweep.threads());
         assert_eq!(other.master_seed(), 8);
         let a: Vec<u64> = sweep.run(4, |_i, mut rng| rng.gen());
         let b: Vec<u64> = other.run(4, |_i, mut rng| rng.gen());
@@ -258,18 +195,11 @@ mod tests {
     }
 
     #[test]
-    fn run_reduce_folds_in_index_order() {
-        let sweep = ScenarioSweep::new(ThreadPool::new(4), 7);
-        let concatenated =
-            sweep.run_reduce(5, |i, _rng| i.to_string(), String::new(), |acc, s| acc + &s);
-        assert_eq!(concatenated, "01234");
-    }
-
-    #[test]
     fn map_with_is_thread_count_independent() {
         let items: Vec<u32> = (0..64).collect();
-        let reference = ScenarioSweep::sequential(5).map_with(
+        let reference = ScenarioSweep::sequential(5).map_with_tiled(
             &items,
+            1,
             Vec::<u64>::new,
             |scratch, i, &item, mut rng| {
                 scratch.push(u64::from(item)); // scratch history must not leak
@@ -277,8 +207,9 @@ mod tests {
             },
         );
         for threads in [2, 4, 8] {
-            let parallel = ScenarioSweep::new(ThreadPool::new(threads), 5).map_with(
+            let parallel = ScenarioSweep::new(ThreadPool::new(threads), 5).map_with_tiled(
                 &items,
+                1,
                 Vec::<u64>::new,
                 |scratch, i, &item, mut rng| {
                     scratch.push(u64::from(item));
@@ -292,8 +223,9 @@ mod tests {
     #[test]
     fn tiled_map_matches_untiled_bit_for_bit() {
         let items: Vec<u32> = (0..64).collect();
-        let reference = ScenarioSweep::sequential(5).map_with(
+        let reference = ScenarioSweep::sequential(5).map_with_tiled(
             &items,
+            1,
             Vec::<u64>::new,
             |scratch, i, &item, mut rng| {
                 scratch.push(u64::from(item));
@@ -322,7 +254,13 @@ mod tests {
     #[test]
     fn run_with_hands_out_item_indexed_streams() {
         let sweep = ScenarioSweep::new(ThreadPool::new(3), 13);
-        let out = sweep.run_with(8, || 0u8, |_s, i, mut rng| rng.gen::<u64>() ^ i as u64);
+        let items = [0u8; 8];
+        let out = sweep.map_with_tiled(
+            &items,
+            3,
+            || 0u8,
+            |_s, i, _item, mut rng| rng.gen::<u64>() ^ i as u64,
+        );
         for (i, &draw) in out.iter().enumerate() {
             assert_eq!(draw, item_rng(13, i).gen::<u64>() ^ i as u64);
         }

@@ -143,7 +143,9 @@ impl MarketSession {
         let cache: usize = self
             .cache
             .values()
-            .map(|c| size_of::<CachedAdvice>() + c.report.outcomes.len() * size_of::<PairOutcome>())
+            .map(|c| {
+                size_of::<CachedAdvice>() + c.report.outcomes.capacity() * size_of::<PairOutcome>()
+            })
             .sum();
         self.state.resident_bytes() + self.driver.resident_bytes() + cache
     }
@@ -1098,5 +1100,37 @@ mod tests {
             },
         );
         assert_eq!(base + size_of::<CachedAdvice>(), session.resident_bytes());
+        // A truncated or in-place collected report holds more slots than
+        // outcomes; the allocator holds all of them.
+        let mut outcomes = Vec::with_capacity(5);
+        outcomes.push(PairOutcome {
+            x: Asn::new(2),
+            y: Asn::new(3),
+            peering_hops: 1,
+            shares: (1.0, 0.0),
+            segments: (0, 0),
+            flow_volume: None,
+            cash: None,
+            surplus: 0.0,
+        });
+        let capacity = outcomes.capacity();
+        assert!(capacity > outcomes.len());
+        session.cache.insert(
+            1,
+            CachedAdvice {
+                generation: session.state.generation(),
+                report: DiscoveryReport {
+                    candidates: 1,
+                    concluded_flow_volume: 0,
+                    concluded_cash: 0,
+                    total_surplus: 0.0,
+                    outcomes,
+                },
+            },
+        );
+        assert_eq!(
+            base + 2 * size_of::<CachedAdvice>() + capacity * size_of::<PairOutcome>(),
+            session.resident_bytes()
+        );
     }
 }
