@@ -14,7 +14,12 @@
 //! - [`evaluate_candidate`]: the streaming row walk over both parties'
 //!   packed rows, on the same 24 pairs at jittered shares — the
 //!   evaluator of every noisy round, of `discover`, of a cold `advise`
-//!   and of each adoption's re-evaluation.
+//!   and of each adoption's re-evaluation;
+//! - [`MarketState::adopt_outcome`]: one adoption of the best-connected
+//!   concluding peer pair — the re-evaluation plus the link-symmetric
+//!   flow update that moves both entries of every touched link. Each
+//!   iteration adopts on a fresh clone of the same market, so the row
+//!   includes that clone.
 //!
 //! Together they decompose the cost of one round, so a regression in
 //! any layer shows up here before it shows up in the `evolve`
@@ -28,6 +33,7 @@ use pan_core::discovery::{
     derive_pair_transit, enumerate_candidates, evaluate_candidate, evaluate_candidate_with,
     BatchContext, CandidatePair, CandidatePolicy, NodePrograms, PairScratch,
 };
+use pan_core::dynamics::MarketState;
 use pan_datasets::{InternetConfig, SyntheticInternet};
 use pan_econ::{CostFunction, DenseEconomics, FlowMatrix, PricingFunction};
 
@@ -133,6 +139,37 @@ fn hot_paths(c: &mut Criterion) {
                     .surplus;
             }
             black_box(surplus)
+        });
+    });
+
+    // The concluding peer pair with the largest combined degree: its
+    // adoption moves the most flow entries and grants the most targets.
+    let hub_pair = candidates
+        .iter()
+        .copied()
+        .filter(|&pair| {
+            evaluate_candidate(&ctx, &mut PairScratch::new(), pair, 0.5, 0.2, 5)
+                .expect("evaluation succeeds")
+                .cash
+                .is_some()
+        })
+        .max_by_key(|pair| graph.degree_of_index(pair.x) + graph.degree_of_index(pair.y))
+        .expect("the synthetic internet has a concluding pair");
+    let market =
+        MarketState::new(net.graph.clone(), econ.clone(), flows.clone()).expect("tables match");
+    // The check reads every mirror, which builds the graph's lazy mirror
+    // lane: each clone then carries it, as a market past its first round
+    // does.
+    market
+        .check_invariants()
+        .expect("a fresh market is consistent");
+    group.bench_function("adopt_outcome_hub_pair", |b| {
+        b.iter(|| {
+            let mut state = market.clone();
+            let adopted = state
+                .adopt_outcome(black_box(hub_pair), (0.5, 0.2), 5, 0.0, 0)
+                .expect("adoption succeeds");
+            black_box(adopted.map(|agreement| agreement.joint_utility))
         });
     });
 

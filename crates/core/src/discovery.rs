@@ -470,6 +470,34 @@ impl PairOutcome {
     }
 }
 
+/// The part of a [`PairOutcome`] that an evolution round reads after
+/// its evaluation sweep, in 32 bytes instead of ~140: the surplus and
+/// both "concluded" flags feed [`tally`] and the adoption ranking, and
+/// the shares are what adoption re-evaluates the pair with. The parties
+/// come from the candidate the record was evaluated for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct OutcomeRecord {
+    /// [`PairOutcome::surplus`].
+    pub(crate) surplus: f64,
+    /// [`PairOutcome::shares`].
+    pub(crate) shares: (f64, f64),
+    /// Whether [`PairOutcome::flow_volume`] is set.
+    pub(crate) flow_volume: bool,
+    /// Whether [`PairOutcome::cash`] is set.
+    pub(crate) cash: bool,
+}
+
+impl From<&PairOutcome> for OutcomeRecord {
+    fn from(outcome: &PairOutcome) -> Self {
+        OutcomeRecord {
+            surplus: outcome.surplus,
+            shares: outcome.shares,
+            flow_volume: outcome.flow_volume.is_some(),
+            cash: outcome.cash.is_some(),
+        }
+    }
+}
+
 /// Aggregate result of a discovery sweep, ranked by surplus.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DiscoveryReport {
@@ -502,7 +530,8 @@ impl DiscoveryReport {
     /// engine-produced surpluses are always finite.
     #[must_use]
     pub fn from_outcomes(mut outcomes: Vec<PairOutcome>, top: usize) -> Self {
-        let (concluded_flow_volume, concluded_cash, total_surplus) = tally(outcomes.iter());
+        let (concluded_flow_volume, concluded_cash, total_surplus) =
+            tally(outcomes.iter().map(OutcomeRecord::from));
         outcomes.sort_by(|a, b| rank_cmp((a.surplus, a.x, a.y), (b.surplus, b.x, b.y)));
         let candidates = outcomes.len();
         if top > 0 {
@@ -518,19 +547,21 @@ impl DiscoveryReport {
     }
 }
 
-/// A report's aggregates over `outcomes`, summed in iteration order:
+/// A report's aggregates over `records`, summed in iteration order:
 /// `(concluded_flow_volume, concluded_cash, total_surplus)`. The f64
 /// sum depends on its order, so every producer of these numbers — the
 /// report and the evolution engine — sums through here, in
 /// enumeration order.
-pub(crate) fn tally<'a>(
-    outcomes: impl Iterator<Item = &'a PairOutcome> + Clone,
-) -> (usize, usize, f64) {
-    (
-        outcomes.clone().filter(|o| o.flow_volume.is_some()).count(),
-        outcomes.clone().filter(|o| o.cash.is_some()).count(),
-        outcomes.map(|o| o.surplus).sum(),
-    )
+pub(crate) fn tally(records: impl Iterator<Item = OutcomeRecord>) -> (usize, usize, f64) {
+    let (mut flow_volume, mut cash) = (0, 0);
+    let total = records
+        .map(|record| {
+            flow_volume += usize::from(record.flow_volume);
+            cash += usize::from(record.cash);
+            record.surplus
+        })
+        .sum();
+    (flow_volume, cash, total)
 }
 
 /// The canonical ranking of discovered outcomes, over `(surplus, x, y)`:
@@ -543,70 +574,92 @@ pub(crate) fn rank_cmp(a: (f64, Asn, Asn), b: (f64, Asn, Asn)) -> Ordering {
 }
 
 /// A 24-byte stand-in for one outcome in the adoption ranking: the
-/// fields [`rank_cmp`] reads plus the outcome's index, so selecting
-/// and sorting moves keys instead of ~140-byte outcomes.
+/// fields [`rank_cmp`] reads, packed into integers that compare the
+/// same way, the outcome's index, and whether it has a cash optimum
+/// (where the scan ends), so selecting and sorting moves and compares
+/// keys instead of outcome records.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RankKey {
-    surplus: f64,
-    x: Asn,
-    y: Asn,
+    /// The surplus mapped onto `u64` so that ascending integer order is
+    /// descending [`f64::total_cmp`] order.
+    descending: u64,
+    /// `(x << 32) | y`: ascending order is the ASN pair's.
+    parties: u64,
     index: u32,
+    cash: bool,
 }
 
 impl RankKey {
+    fn new(surplus: f64, (x, y): (Asn, Asn), index: usize, cash: bool) -> Self {
+        // `f64::total_cmp` orders the bits as a signed integer after
+        // flipping the magnitude bits of negative values; flipping the
+        // sign bit makes that unsigned, and `!` makes it descending.
+        let bits = surplus.to_bits() as i64;
+        let total = bits ^ (((bits >> 63) as u64) >> 1) as i64;
+        RankKey {
+            descending: !((total as u64) ^ (1 << 63)),
+            parties: (u64::from(x.get()) << 32) | u64::from(y.get()),
+            index: index as u32,
+            cash,
+        }
+    }
+
     /// [`rank_cmp`], then the outcome index: equal `(surplus, x, y)`
     /// keep their input order, as the stable report sort does.
     fn order(a: &RankKey, b: &RankKey) -> Ordering {
-        rank_cmp((a.surplus, a.x, a.y), (b.surplus, b.x, b.y)).then(a.index.cmp(&b.index))
+        (a.descending, a.parties, a.index).cmp(&(b.descending, b.parties, b.index))
     }
 }
 
-/// The adoption scan's view of `outcomes`: their indices in the order
+/// The adoption scan's view of evaluated outcomes, given as `records`
+/// and the `parties(index)` of each record: their indices in the order
 /// of `DiscoveryReport::from_outcomes(outcomes, 0).outcomes`, ending
 /// where the scan breaks — at the first outcome without a cash optimum
 /// or with `surplus <= min_surplus`.
 ///
 /// Only outcomes with `surplus > min_surplus` get a key (written into
-/// `keys`, which is cleared first). For non-NaN
-/// surpluses — the engines clamp theirs through `f64::max`, so they
-/// never see NaN — every keyed outcome ranks strictly ahead of every
-/// other, so the keyed ranking is the report ranking's prefix and the
-/// first unkeyed outcome is exactly where the report scan would break;
-/// a keyed outcome without a cash optimum ends the scan as it would
-/// there. The keys are ranked lazily, `first_chunk` at a time
-/// (`select_nth_unstable_by` + a sort of the selected chunk), and the
-/// chunk doubles each time the consumer reads past it, so a scan pays
-/// for the depth it reads rather than for a sort of every outcome. The
-/// first chunk is ranked before this returns.
+/// `keys`, which is cleared first), so `parties` is asked for those
+/// alone. For non-NaN surpluses — the engines clamp theirs through
+/// `f64::max`, so they never see NaN — every keyed outcome ranks
+/// strictly ahead of every other, so the keyed ranking is the report
+/// ranking's prefix and the first unkeyed outcome is exactly where the
+/// report scan would break; a keyed outcome without a cash optimum ends
+/// the scan as it would there. The keys are ranked lazily,
+/// `first_chunk` at a time (`select_nth_unstable_by` + a sort of the
+/// selected chunk), and the chunk doubles each time the consumer reads
+/// past it, so a scan pays for the depth it reads rather than for a
+/// sort of every outcome. The first chunk is ranked before this
+/// returns.
 pub(crate) fn ranked_scan<'a>(
-    outcomes: &'a [PairOutcome],
+    records: &[OutcomeRecord],
+    parties: impl Fn(usize) -> (Asn, Asn),
     min_surplus: f64,
     keys: &'a mut Vec<RankKey>,
     first_chunk: usize,
-) -> impl Iterator<Item = usize> + 'a {
+) -> ChunkedRanking<'a> {
     keys.clear();
+    keys.reserve(records.len());
     keys.extend(
-        outcomes
+        records
             .iter()
             .enumerate()
-            .filter(|(_, o)| o.surplus > min_surplus)
-            .map(|(index, o)| RankKey {
-                surplus: o.surplus,
-                x: o.x,
-                y: o.y,
-                index: index as u32,
+            .filter(|(_, record)| record.surplus > min_surplus)
+            .map(|(index, record)| {
+                RankKey::new(record.surplus, parties(index), index, record.cash)
             }),
     );
-    ChunkedRanking::new(keys, first_chunk).take_while(|&index| outcomes[index].cash.is_some())
+    ChunkedRanking::new(keys, first_chunk)
 }
 
 /// Lazily ranked keys: `keys[..ready]` hold the best `ready` keys in
-/// rank order, of which `keys[..next]` were already yielded.
-struct ChunkedRanking<'a> {
+/// rank order, of which `keys[..next]` were already yielded. Yields
+/// outcome indices and ends at the first key without a cash optimum.
+pub(crate) struct ChunkedRanking<'a> {
     keys: &'a mut [RankKey],
     next: usize,
     ready: usize,
     chunk: usize,
+    ended: bool,
 }
 
 impl<'a> ChunkedRanking<'a> {
@@ -616,6 +669,7 @@ impl<'a> ChunkedRanking<'a> {
             next: 0,
             ready: 0,
             chunk: first_chunk.max(1),
+            ended: false,
         };
         ranking.rank_next_chunk();
         ranking
@@ -642,12 +696,16 @@ impl Iterator for ChunkedRanking<'_> {
     type Item = usize;
 
     fn next(&mut self) -> Option<usize> {
+        if self.ended {
+            return None;
+        }
         if self.next == self.ready {
             self.rank_next_chunk();
         }
         let key = self.keys[..self.ready].get(self.next)?;
         self.next += 1;
-        Some(key.index as usize)
+        self.ended = !key.cash;
+        key.cash.then_some(key.index as usize)
     }
 }
 
@@ -2802,20 +2860,54 @@ pub(crate) mod tests {
                 .take_while(|o| o.cash.is_some() && o.surplus > min_surplus)
                 .collect();
 
+            let records: Vec<OutcomeRecord> = outcomes.iter().map(OutcomeRecord::from).collect();
+            let parties = |index: usize| (outcomes[index].x, outcomes[index].y);
             let mut keys = Vec::new();
             let scanned: Vec<&PairOutcome> =
-                ranked_scan(&outcomes, min_surplus, &mut keys, first_chunk)
+                ranked_scan(&records, parties, min_surplus, &mut keys, first_chunk)
                     .map(|index| &outcomes[index])
                     .collect();
             prop_assert_eq!(&scanned, &prefix);
 
             let expected = adopt_from(prefix.iter().copied(), adopt_top);
             let adopted = adopt_from(
-                ranked_scan(&outcomes, min_surplus, &mut keys, first_chunk)
+                ranked_scan(&records, parties, min_surplus, &mut keys, first_chunk)
                     .map(|index| &outcomes[index]),
                 adopt_top,
             );
             prop_assert_eq!(adopted, expected);
+        }
+    }
+
+    #[test]
+    fn rank_keys_order_as_rank_cmp() {
+        let surpluses = [
+            f64::NEG_INFINITY,
+            -3.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1e-9,
+            1.0,
+            1.0 + f64::EPSILON,
+            7.25e300,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        let parties = [(1, 2), (1, 3), (2, 1), (u32::MAX, 0)];
+        let mut keyed = Vec::new();
+        for &surplus in &surpluses {
+            for &(x, y) in &parties {
+                keyed.push((surplus, Asn::new(x), Asn::new(y)));
+            }
+        }
+        for (i, &a) in keyed.iter().enumerate() {
+            for (j, &b) in keyed.iter().enumerate() {
+                let ka = RankKey::new(a.0, (a.1, a.2), 0, true);
+                let kb = RankKey::new(b.0, (b.1, b.2), 0, true);
+                assert_eq!(RankKey::order(&ka, &kb), rank_cmp(a, b), "{i} vs {j}");
+            }
         }
     }
 
@@ -2829,9 +2921,11 @@ pub(crate) mod tests {
             .collect();
         outcomes.push(scan_outcome(3, 30, 31, true, false));
         outcomes.push(scan_outcome(0, 40, 41, false, false));
+        let records: Vec<OutcomeRecord> = outcomes.iter().map(OutcomeRecord::from).collect();
+        let parties = |index: usize| (outcomes[index].x, outcomes[index].y);
         let mut keys = Vec::new();
         let adopted = adopt_from(
-            ranked_scan(&outcomes, 0.0, &mut keys, 2).map(|index| &outcomes[index]),
+            ranked_scan(&records, parties, 0.0, &mut keys, 2).map(|index| &outcomes[index]),
             2,
         );
         assert_eq!(adopted.len(), 2);

@@ -41,10 +41,10 @@
 //! Adoption re-evaluates each chosen pair against the *current* state
 //! (earlier adoptions in the same round may have consumed its
 //! opportunity) using the outcome's recorded
-//! [`shares`](PairOutcome::shares), and skips it when the refreshed
-//! surplus no longer clears the threshold. Because an adopted pair is
-//! excluded from later rounds and adoption drains the rerouting
-//! opportunity it was priced on, an unshocked evolution provably
+//! [`shares`](crate::discovery::PairOutcome::shares), and skips it when
+//! the refreshed surplus no longer clears the threshold. Because an
+//! adopted pair is excluded from later rounds and adoption drains the
+//! rerouting opportunity it was priced on, an unshocked evolution provably
 //! terminates: each round either adopts a never-before-adopted pair or
 //! reaches the fixed point.
 //!
@@ -83,7 +83,7 @@ use pan_topology::{AsGraph, Asn, NeighborKind};
 use crate::discovery::{
     collect_targets, derive_pair_transit, enumerate_candidates, enumerate_candidates_for,
     evaluate_candidate, evaluate_candidate_with, ranked_scan, tally, BatchContext, CandidatePair,
-    CandidatePolicy, DiscoveryConfig, DiscoveryReport, NodePrograms, PairOutcome, PairScratch,
+    CandidatePolicy, DiscoveryConfig, DiscoveryReport, NodePrograms, OutcomeRecord, PairScratch,
     PairTransit, CANDIDATE_TILE,
 };
 use crate::{AgreementError, Result};
@@ -179,8 +179,8 @@ pub(crate) struct RoundCache {
     pub(crate) transits: CacheUse,
 }
 
-/// A cached candidate enumeration and the transit table that lives and
-/// dies with it.
+/// A cached candidate enumeration and the tables that live and die
+/// with it.
 #[derive(Debug, Clone)]
 struct Enumeration {
     policy: CandidatePolicy,
@@ -191,6 +191,51 @@ struct Enumeration {
     /// the whole enumeration by the first noise-free round that finds it
     /// missing. Noisy rounds never read it, so they never allocate it.
     transit: Option<Vec<PairTransit>>,
+    /// Parallel to `pairs`: which pairs hold an adopted agreement, so a
+    /// round filters its candidates by bit instead of probing the
+    /// state's adopted set per pair. Rebuilt from that set with the
+    /// enumeration; a round's own adoptions mark their bits, and an
+    /// adoption outside a round drops the bitmap for the next round to
+    /// rebuild.
+    adopted: Option<AdoptedBits>,
+}
+
+/// One bit per enumeration position, set for the pairs that hold an
+/// adopted agreement.
+#[derive(Debug, Clone)]
+struct AdoptedBits {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl AdoptedBits {
+    /// The bitmap of `pairs` against the state's adopted set.
+    fn of(pairs: &[CandidatePair], state: &MarketState) -> Self {
+        let mut bits = AdoptedBits {
+            words: vec![0; pairs.len().div_ceil(64)],
+            len: pairs.len(),
+        };
+        for (index, pair) in pairs.iter().enumerate() {
+            if state.is_adopted(pair.x, pair.y) {
+                bits.mark(index);
+            }
+        }
+        bits
+    }
+
+    fn mark(&mut self, index: usize) {
+        self.words[index / 64] |= 1 << (index % 64);
+    }
+
+    /// The positions whose bit is clear, ascending.
+    fn unadopted(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.len as u32).filter(|&i| self.words[i as usize / 64] & (1 << (i % 64)) == 0)
+    }
+
+    /// Bytes resident in the bitmap.
+    fn resident_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
+    }
 }
 
 /// How often a cached table was rebuilt and how often a round reused
@@ -224,7 +269,8 @@ impl RoundCache {
                 transit.capacity() * size_of::<PairTransit>()
                     + transit.iter().map(PairTransit::heap_bytes).sum::<usize>()
             });
-            e.pairs.capacity() * size_of::<CandidatePair>() + transit
+            let adopted = e.adopted.as_ref().map_or(0, AdoptedBits::resident_bytes);
+            e.pairs.capacity() * size_of::<CandidatePair>() + transit + adopted
         });
         enumeration + self.filtered.capacity() * size_of::<u32>()
     }
@@ -413,6 +459,64 @@ impl MarketState {
             + self.round_cache.resident_bytes()
     }
 
+    /// Checks the bookkeeping every round must leave intact:
+    ///
+    /// - NBS transfers only move cash between parties, so the ledger
+    ///   sums to zero up to rounding (`1e-9` of the summed magnitudes);
+    /// - no flow entry (end-host slots included) is negative;
+    /// - both entries of every link carry the same volume (to `1e-12`
+    ///   relative), each entry's twin read through
+    ///   [`AsGraph::mirror_position`];
+    /// - the topology passes [`AsGraph::validate`], which on a built
+    ///   graph includes the CSR's mirror lane being an involution (the
+    ///   mirror of an entry's mirror is the entry itself).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AgreementError::Invariant`] naming the first violation,
+    /// or the topology's own validation error.
+    pub fn check_invariants(&self) -> Result<()> {
+        let broken = |reason: String| Err(AgreementError::Invariant { reason });
+        let graph = &self.graph;
+        let (sum, magnitude) = self
+            .cash
+            .iter()
+            .fold((0.0, 0.0), |(sum, magnitude): (f64, f64), &c| {
+                (sum + c, magnitude + c.abs())
+            });
+        if sum.abs() > 1e-9 * magnitude {
+            return broken(format!(
+                "cash ledger sums to {sum} over a magnitude of {magnitude}"
+            ));
+        }
+        for i in 0..graph.node_count() as u32 {
+            let end_host = self.flows.end_host(i);
+            if end_host.is_nan() || end_host < 0.0 {
+                return broken(format!("{}'s end-host flow is {end_host}", graph.asn_at(i)));
+            }
+            for (pos, &j) in graph.neighbor_indices(i).iter().enumerate() {
+                let here = self.flows.flow(i, pos);
+                let there = self.flows.flow(j, graph.mirror_position(i, pos));
+                if here.is_nan() || here < 0.0 {
+                    return broken(format!(
+                        "flow from {} to {} is {here}",
+                        graph.asn_at(i),
+                        graph.asn_at(j)
+                    ));
+                }
+                if (here - there).abs() > 1e-12 * here.abs().max(there.abs()) {
+                    return broken(format!(
+                        "link {}-{} carries {here} on one entry and {there} on the other",
+                        graph.asn_at(i),
+                        graph.asn_at(j)
+                    ));
+                }
+            }
+        }
+        graph.validate()?;
+        Ok(())
+    }
+
     /// The round cache, for cache-behavior tests.
     #[cfg(test)]
     pub(crate) fn round_cache(&self) -> &RoundCache {
@@ -429,21 +533,28 @@ impl MarketState {
         pairs
     }
 
-    /// Adopts one discovered outcome if it still clears `min_surplus` on
-    /// the **current** state: re-evaluates the pair with the outcome's
-    /// recorded shares, registers the peering link for prospective
-    /// pairs, materializes the cash-optimal flow volumes, and books the
-    /// NBS transfer. Returns `None` (without mutating the state) when
-    /// the pair is already adopted or its refreshed surplus no longer
-    /// qualifies.
+    /// Adopts the agreement of candidate `pair` at `shares` — the
+    /// effective shares a discovery outcome recorded
+    /// ([`PairOutcome::shares`](crate::discovery::PairOutcome::shares))
+    /// — if it still clears `min_surplus` on the **current** state:
+    /// re-evaluates the pair with those shares, registers the peering
+    /// link for prospective pairs, materializes the cash-optimal flow
+    /// volumes, and books the NBS transfer.
+    /// Returns `None` (without mutating the state) when the pair is
+    /// already adopted or its refreshed surplus no longer qualifies.
     ///
     /// # Errors
     ///
     /// Propagates evaluation, remapping, and topology errors; rejects a
     /// non-finite or negative `min_surplus`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node index of `pair` is out of bounds.
     pub fn adopt_outcome(
         &mut self,
-        outcome: &PairOutcome,
+        pair: CandidatePair,
+        shares: (f64, f64),
         grid: usize,
         min_surplus: f64,
         round: usize,
@@ -451,11 +562,7 @@ impl MarketState {
         if !min_surplus.is_finite() || min_surplus < 0.0 {
             return Err(AgreementError::InvalidFraction { value: min_surplus });
         }
-        let (i, j) = (
-            self.graph.index_of(outcome.x)?,
-            self.graph.index_of(outcome.y)?,
-        );
-        let (x, y) = (i.min(j), i.max(j));
+        let (x, y) = (pair.x.min(pair.y), pair.x.max(pair.y));
         if self.adopted.contains(&(x, y)) {
             return Ok(None);
         }
@@ -469,14 +576,14 @@ impl MarketState {
             let pair = CandidatePair {
                 x,
                 y,
-                peering_hops: outcome.peering_hops,
+                peering_hops: pair.peering_hops,
             };
             evaluate_candidate(
                 &ctx,
                 &mut self.adopt_scratch.eval,
                 pair,
-                outcome.shares.0,
-                outcome.shares.1,
+                shares.0,
+                shares.1,
                 grid,
             )?
         };
@@ -500,19 +607,25 @@ impl MarketState {
             // stale.
             self.round_cache.enumeration = None;
         }
-        self.materialize(x, y, outcome.shares, (cash.reroute, cash.attract));
+        self.materialize(x, y, shares, (cash.reroute, cash.attract));
         // Eq. (10)–(11): X pays Π_{X→Y} to Y (negative = Y pays X).
         self.cash[x as usize] -= cash.transfer_x_to_y;
         self.cash[y as usize] += cash.transfer_x_to_y;
         self.adopted.insert((x, y));
+        // The cached bitmap has no position for the pair at hand. A
+        // round's own adoptions find the cache out of the state and mark
+        // their bits themselves.
+        if let Some(enumeration) = &mut self.round_cache.enumeration {
+            enumeration.adopted = None;
+        }
         self.generation += 1;
         Ok(Some(AdoptedAgreement {
             round,
             x: self.graph.asn_at(x),
             y: self.graph.asn_at(y),
-            peering_hops: outcome.peering_hops,
+            peering_hops: pair.peering_hops,
             new_link,
-            shares: outcome.shares,
+            shares,
             reroute: cash.reroute,
             attract: cash.attract,
             joint_utility: cash.joint_utility,
@@ -540,6 +653,12 @@ impl MarketState {
         let mut deltas = std::mem::take(&mut self.adopt_scratch.deltas);
         deltas.clear();
         let mut targets = std::mem::take(&mut self.adopt_scratch.targets);
+        // The parties' link, as positions in x's row and in y's.
+        let at_x = self
+            .graph
+            .neighbor_position(x, y)
+            .expect("parties peer once adopted");
+        let at_y = self.graph.mirror_position(x, at_x);
         for (bene, partner) in [(x, y), (y, x)] {
             targets.clear();
             collect_targets(&self.graph, bene, partner, &mut targets);
@@ -563,11 +682,7 @@ impl MarketState {
                     continue;
                 }
                 deltas.push((bene, pos, -moved));
-                let back = self
-                    .graph
-                    .neighbor_position(p, bene)
-                    .expect("CSR adjacency is symmetric");
-                deltas.push((p, back, -moved));
+                deltas.push((p, self.graph.mirror_position(bene, pos), -moved));
                 volume += moved;
             }
             for (pos, &c) in row.iter().enumerate().skip(e_end) {
@@ -580,11 +695,7 @@ impl MarketState {
                     continue;
                 }
                 deltas.push((bene, pos, gained));
-                let back = self
-                    .graph
-                    .neighbor_position(c, bene)
-                    .expect("CSR adjacency is symmetric");
-                deltas.push((c, back, gained));
+                deltas.push((c, self.graph.mirror_position(bene, pos), gained));
                 volume += gained;
             }
             let end_host_gain = a * attract_share * self.flows.end_host(bene);
@@ -597,14 +708,11 @@ impl MarketState {
             }
             // The whole volume crosses the (settlement-free) peering link
             // between the parties …
-            let pos_partner = self
-                .graph
-                .neighbor_position(bene, partner)
-                .expect("parties peer once adopted");
-            let pos_bene = self
-                .graph
-                .neighbor_position(partner, bene)
-                .expect("parties peer once adopted");
+            let (pos_partner, pos_bene) = if bene == x {
+                (at_x, at_y)
+            } else {
+                (at_y, at_x)
+            };
             deltas.push((bene, pos_partner, volume));
             deltas.push((partner, pos_bene, volume));
             // … and exits the partner split evenly across the granted
@@ -614,10 +722,7 @@ impl MarketState {
             for &tpos in &targets {
                 let t = partner_row[tpos as usize];
                 deltas.push((partner, tpos as usize, per_seg));
-                let back = self
-                    .graph
-                    .neighbor_position(t, partner)
-                    .expect("CSR adjacency is symmetric");
+                let back = self.graph.mirror_position(partner, tpos as usize);
                 deltas.push((t, back, per_seg));
             }
         }
@@ -664,10 +769,7 @@ impl MarketState {
                     continue;
                 }
                 let factor = 1.0 + shock * rng.gen_range(-0.5..1.0);
-                let back = self
-                    .graph
-                    .neighbor_position(j, i)
-                    .expect("CSR adjacency is symmetric");
+                let back = self.graph.mirror_position(i, pos);
                 self.flows.set(i, pos, self.flows.flow(i, pos) * factor);
                 self.flows.set(j, back, self.flows.flow(j, back) * factor);
             }
@@ -685,10 +787,7 @@ impl MarketState {
                     continue;
                 }
                 let factor = 1.0 + shock * rng.gen_range(-1.0..1.0);
-                let back = self
-                    .graph
-                    .neighbor_position(j, i)
-                    .expect("CSR adjacency is symmetric");
+                let back = self.graph.mirror_position(i, pos);
                 self.econ.scale_entry_price(i, pos, factor)?;
                 self.econ.scale_entry_price(j, back, factor)?;
                 price_shocks += 1;
@@ -706,10 +805,7 @@ impl MarketState {
                 if rng.gen::<f64>() >= shock / 50.0 {
                     continue;
                 }
-                let back = self
-                    .graph
-                    .neighbor_position(j, i)
-                    .expect("CSR adjacency is symmetric");
+                let back = self.graph.mirror_position(i, pos);
                 self.flows.set(i, pos, 0.0);
                 self.flows.set(j, back, 0.0);
                 failed_links += 1;
@@ -1043,7 +1139,12 @@ impl EvolutionDriver {
                     policy,
                     pairs: enumerate_candidates(&state.graph, policy),
                     transit: None,
+                    adopted: None,
                 });
+            }
+            let enumeration = cache.enumeration.as_mut().expect("enumerated above");
+            if enumeration.adopted.is_none() {
+                enumeration.adopted = Some(AdoptedBits::of(&enumeration.pairs, state));
             }
             cache.enumerations.count(
                 rebuilt,
@@ -1120,12 +1221,15 @@ const RANK_CHUNK_PER_ADOPTION: usize = 4;
 /// One round: evaluate every non-adopted candidate, rank, and run the
 /// party-disjoint adoption scan.
 ///
-/// The round never assembles a sorted [`DiscoveryReport`]: its
-/// aggregates are summed in filtered enumeration order (the report's
-/// own [`tally`]), and the adoption scan reads the outcomes through
-/// [`ranked_scan`], which ranks compact keys of the outcomes above
+/// The round never assembles a sorted [`DiscoveryReport`], nor keeps
+/// a `PairOutcome` per candidate: the evaluation sweep writes one
+/// 32-byte [`OutcomeRecord`] per candidate, the aggregates are summed
+/// over them in filtered enumeration order (the report's own
+/// [`tally`]), and the adoption scan reads them through
+/// [`ranked_scan`], which ranks compact keys of the records above
 /// `min_surplus` a chunk at a time — the order a fully sorted report
-/// would give, for only as many outcomes as the scan reaches.
+/// would give, for only as many outcomes as the scan reaches. Adoption
+/// re-evaluates each pair it reaches from the record's shares.
 fn full_round(
     state: &mut MarketState,
     config: &EvolutionConfig,
@@ -1133,11 +1237,19 @@ fn full_round(
     cache: &mut RoundCache,
     round: usize,
 ) -> Result<RoundScan> {
-    let Enumeration { pairs, transit, .. } = cache
+    let Enumeration {
+        pairs,
+        transit,
+        adopted,
+        ..
+    } = cache
         .enumeration
         .as_mut()
         .expect("the round enumerated before evaluating");
     let pairs = &*pairs;
+    let adopted = adopted
+        .as_mut()
+        .expect("the round built the adopted bitmap with the enumeration");
     // 1. This round's candidate view: the non-adopted enumeration
     // indices, in enumeration order (reusing the cache's buffer). The
     // sweeps below hand workers row-locality tiles of consecutive
@@ -1148,13 +1260,7 @@ fn full_round(
     {
         let _span = pan_telemetry::histogram("core.phase.enumerate_ns").start();
         filtered.clear();
-        filtered.extend(
-            pairs
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| !state.is_adopted(p.x, p.y))
-                .map(|(index, _)| index as u32),
-        );
+        filtered.extend(adopted.unadopted());
     }
     let evaluated = {
         let ctx = BatchContext::new(&state.graph, &state.econ, &state.flows)?;
@@ -1194,6 +1300,8 @@ fn full_round(
                         pairs[index as usize],
                         config.discovery.grid,
                     )
+                    .map(|outcome| OutcomeRecord::from(&outcome))
+                    .map_err(Box::new)
                 },
             )
         } else {
@@ -1212,6 +1320,8 @@ fn full_round(
                         attract,
                         config.discovery.grid,
                     )
+                    .map(|outcome| OutcomeRecord::from(&outcome))
+                    .map_err(Box::new)
                 },
             )
         }
@@ -1222,10 +1332,12 @@ fn full_round(
     // the first chunk of the adoption ranking. The first error in
     // enumeration order fails the round, as before.
     let rank_span = pan_telemetry::histogram("core.phase.rank_ns").start();
-    let outcomes = evaluated
+    let records = evaluated
         .into_iter()
-        .collect::<Result<Vec<PairOutcome>>>()?;
-    let (concluded_flow_volume, concluded_cash, discovered_surplus) = tally(outcomes.iter());
+        .collect::<std::result::Result<Vec<OutcomeRecord>, _>>()
+        .map_err(|error| *error)?;
+    let (concluded_flow_volume, concluded_cash, discovered_surplus) =
+        tally(records.iter().copied());
     let first_chunk = config
         .adopt_top
         .saturating_mul(RANK_CHUNK_PER_ADOPTION)
@@ -1234,7 +1346,18 @@ fn full_round(
     // the scan ends, and kept they would sit on top of the next round's
     // evaluation, where a market's memory peaks.
     let mut keys = Vec::new();
-    let mut ranked = ranked_scan(&outcomes, config.min_surplus, &mut keys, first_chunk);
+    let graph = &state.graph;
+    let parties = |index: usize| {
+        let pair = pairs[cache.filtered[index] as usize];
+        (graph.asn_at(pair.x), graph.asn_at(pair.y))
+    };
+    let mut ranked = ranked_scan(
+        &records,
+        parties,
+        config.min_surplus,
+        &mut keys,
+        first_chunk,
+    );
     drop(rank_span);
 
     // 3. Adopt the best adoptable outcomes, best-first, with
@@ -1254,21 +1377,22 @@ fn full_round(
             break;
         };
         scanned += 1;
-        // Outcome `index` evaluated filtered candidate `index`; adoption
+        // Record `index` evaluated filtered candidate `index`; adoption
         // keeps node indices stable, so its parties are the pair's.
-        let pair = pairs[cache.filtered[index] as usize];
+        let position = cache.filtered[index] as usize;
+        let pair = pairs[position];
         let (i, j) = (pair.x as usize, pair.y as usize);
         if busy[i] || busy[j] {
             continue;
         }
-        let outcome = &outcomes[index];
-        debug_assert_eq!(
-            (state.graph.asn_at(pair.x), state.graph.asn_at(pair.y)),
-            (outcome.x, outcome.y)
-        );
-        if let Some(agreement) =
-            state.adopt_outcome(outcome, config.discovery.grid, config.min_surplus, round)?
-        {
+        if let Some(agreement) = state.adopt_outcome(
+            pair,
+            records[index].shares,
+            config.discovery.grid,
+            config.min_surplus,
+            round,
+        )? {
+            adopted.mark(position);
             busy[i] = true;
             busy[j] = true;
             adopted_surplus += agreement.joint_utility;
@@ -1279,7 +1403,7 @@ fn full_round(
     cache.scan_depth = scanned;
 
     Ok(RoundScan {
-        candidates: outcomes.len(),
+        candidates: records.len(),
         concluded_flow_volume,
         concluded_cash,
         discovered_surplus,
@@ -1502,7 +1626,7 @@ impl MarketSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::discovery::{evaluate_candidate_legacy, tests::assert_outcomes_match};
+    use crate::discovery::{evaluate_candidate_legacy, tests::assert_outcomes_match, PairOutcome};
     use crate::CandidatePolicy;
     use pan_econ::{CostFunction, PricingFunction};
     use pan_runtime::ThreadPool;
@@ -1547,6 +1671,25 @@ mod tests {
         MarketState::new(graph, econ, flows).unwrap()
     }
 
+    /// Adopts a discovered outcome: its pair by node index, at the
+    /// shares it was evaluated with.
+    fn adopt(
+        state: &mut MarketState,
+        outcome: &PairOutcome,
+        grid: usize,
+        min_surplus: f64,
+        round: usize,
+    ) -> Result<Option<AdoptedAgreement>> {
+        let graph = state.graph();
+        let (i, j) = (graph.index_of(outcome.x)?, graph.index_of(outcome.y)?);
+        let pair = CandidatePair {
+            x: i.min(j),
+            y: i.max(j),
+            peering_hops: outcome.peering_hops,
+        };
+        state.adopt_outcome(pair, outcome.shares, grid, min_surplus, round)
+    }
+
     fn evaluate_pair(state: &MarketState, x: Asn, y: Asn, shares: (f64, f64)) -> PairOutcome {
         let (i, j) = (
             state.graph().index_of(x).unwrap(),
@@ -1581,8 +1724,7 @@ mod tests {
         );
         assert_eq!(cash.reroute, 1.0, "all traffic moves at the optimum");
 
-        let agreement = state
-            .adopt_outcome(&before, 3, 1e-6, 0)
+        let agreement = adopt(&mut state, &before, 3, 1e-6, 0)
             .unwrap()
             .expect("adoptable");
         assert!(!agreement.new_link, "the parties already peer");
@@ -1615,7 +1757,7 @@ mod tests {
         assert!((state.cash_balance(yi) - agreement.transfer_x_to_y).abs() < 1e-12);
 
         // Re-adoption of an adopted pair is a no-op.
-        assert!(state.adopt_outcome(&before, 3, 1e-6, 1).unwrap().is_none());
+        assert!(adopt(&mut state, &before, 3, 1e-6, 1).unwrap().is_none());
     }
 
     fn arbitrage_config(policy: CandidatePolicy) -> EvolutionConfig {
@@ -2039,8 +2181,7 @@ mod tests {
         // advisory answer.
         let best = report.outcomes[0].clone();
         assert!(best.cash.is_some(), "the synthetic market must trade");
-        state
-            .adopt_outcome(&best, config.grid, 1e-9, 0)
+        adopt(&mut state, &best, config.grid, 1e-9, 0)
             .unwrap()
             .unwrap();
         let after = advise(&state, &config, asn, 0, &pool).unwrap();
@@ -2093,15 +2234,9 @@ mod tests {
                 "{config:?} must be rejected"
             );
         }
+        let outcome = evaluate_pair(&state, X, Y, (1.0, 0.0));
         assert!(
-            state
-                .adopt_outcome(
-                    &evaluate_pair(&state, X, Y, (1.0, 0.0)),
-                    3,
-                    f64::INFINITY,
-                    0
-                )
-                .is_err(),
+            adopt(&mut state, &outcome, 3, f64::INFINITY, 0).is_err(),
             "non-finite thresholds are rejected"
         );
     }
@@ -2111,10 +2246,10 @@ mod tests {
         let mut state = arbitrage_state(false);
         assert_eq!(state.generation(), 0);
         let outcome = evaluate_pair(&state, X, Y, (1.0, 0.0));
-        state.adopt_outcome(&outcome, 3, 1e-6, 0).unwrap().unwrap();
+        adopt(&mut state, &outcome, 3, 1e-6, 0).unwrap().unwrap();
         assert_eq!(state.generation(), 1, "adoption bumps the revision");
         // A refused re-adoption leaves the state (and counter) untouched.
-        assert!(state.adopt_outcome(&outcome, 3, 1e-6, 1).unwrap().is_none());
+        assert!(adopt(&mut state, &outcome, 3, 1e-6, 1).unwrap().is_none());
         assert_eq!(state.generation(), 1);
         // Every perturbation pass bumps, whatever it ends up drawing.
         let mut rng = pan_runtime::coordinator_rng(9);
@@ -2232,7 +2367,7 @@ mod tests {
             3,
         )
         .unwrap();
-        let agreement = state.adopt_outcome(&outcome, 3, 1e-6, 1).unwrap().unwrap();
+        let agreement = adopt(&mut state, &outcome, 3, 1e-6, 1).unwrap().unwrap();
         assert!(agreement.new_link);
         assert!(
             state.round_cache().enumeration.is_none(),
@@ -2285,7 +2420,18 @@ mod tests {
                 "static graphs derive transits once, across the driver swap \
                  and any price shock (shock {shock})"
             );
-            assert!(cache.resident_bytes() > 0);
+            let enumeration = cache.enumeration.as_ref().unwrap();
+            let bits = enumeration
+                .adopted
+                .as_ref()
+                .expect("rounds keep the bitmap");
+            assert!(bits.resident_bytes() >= enumeration.pairs.len().div_ceil(64) * 8);
+            assert!(
+                cache.resident_bytes()
+                    >= enumeration.pairs.len() * std::mem::size_of::<CandidatePair>()
+                        + bits.resident_bytes(),
+                "the cache's footprint covers its adopted bitmap"
+            );
             assert!(
                 state.resident_bytes() > cache.resident_bytes(),
                 "the state's footprint covers its round cache"
@@ -2313,6 +2459,84 @@ mod tests {
                 json = MarketSnapshot::capture(&cold_state, &cold, sweep.master_seed()).to_json();
             }
         }
+    }
+
+    #[test]
+    fn round_records_fit_in_32_bytes() {
+        use std::mem::size_of;
+        // What the evaluation sweep writes per candidate: the pool's
+        // slot around the record or a boxed error.
+        type Slot = Option<std::result::Result<OutcomeRecord, Box<AgreementError>>>;
+        assert!(size_of::<Slot>() <= 32, "{} bytes", size_of::<Slot>());
+    }
+
+    #[test]
+    fn adopted_bits_list_the_clear_positions() {
+        let pairs = |n: u32| -> Vec<CandidatePair> {
+            (0..n)
+                .map(|i| CandidatePair {
+                    x: i,
+                    y: i + 1,
+                    peering_hops: 1,
+                })
+                .collect()
+        };
+        let state = arbitrage_state(false);
+        for len in [0u32, 1, 63, 64, 65, 130] {
+            let mut bits = AdoptedBits::of(&pairs(len), &state);
+            let marked: Vec<u32> = (0..len).filter(|i| i % 3 == 0 || *i == 63).collect();
+            for &i in &marked {
+                bits.mark(i as usize);
+            }
+            let clear: Vec<u32> = (0..len).filter(|i| !marked.contains(i)).collect();
+            assert_eq!(bits.unadopted().collect::<Vec<_>>(), clear, "{len} pairs");
+        }
+    }
+
+    #[test]
+    fn adopted_bitmap_follows_in_round_and_external_adoptions() {
+        let config = EvolutionConfig {
+            discovery: DiscoveryConfig {
+                grid: 3,
+                ..DiscoveryConfig::default()
+            },
+            rounds: 2,
+            adopt_top: 5,
+            min_surplus: 1e-3,
+            shock: 0.0,
+        };
+        let sweep = ScenarioSweep::sequential(9);
+        let mut state = synthetic_state(200, 23);
+        let mut driver = EvolutionDriver::new(config).unwrap();
+        let first = driver.step(&mut state, &sweep).unwrap();
+        assert!(!first.agreements.is_empty(), "the market trades");
+        let bitmap_matches_the_set = |state: &MarketState| {
+            let enumeration = state.round_cache().enumeration.as_ref().unwrap();
+            let bits = enumeration.adopted.as_ref().unwrap();
+            let clear: Vec<u32> = bits.unadopted().collect();
+            let expected: Vec<u32> = (0..enumeration.pairs.len() as u32)
+                .filter(|&i| {
+                    let pair = enumeration.pairs[i as usize];
+                    !state.is_adopted(pair.x, pair.y)
+                })
+                .collect();
+            assert_eq!(clear, expected);
+        };
+        // The round marked its own adoptions.
+        bitmap_matches_the_set(&state);
+
+        // An adoption outside a round drops the bitmap; the next round
+        // rebuilds it from the adopted set.
+        external_adopt(&mut state, &config, 1);
+        let enumeration = state.round_cache().enumeration.as_ref().unwrap();
+        assert!(enumeration.adopted.is_none());
+        assert_eq!(state.adopted_count(), first.agreements.len() + 1);
+        let second = driver.step(&mut state, &sweep).unwrap();
+        assert_eq!(
+            second.record.candidates,
+            first.record.candidates - state.adopted_count() + second.agreements.len()
+        );
+        bitmap_matches_the_set(&state);
     }
 
     #[test]
@@ -2373,43 +2597,15 @@ mod tests {
             .or_else(|| adoptable.next())
             .cloned();
         if let Some(best) = best {
-            state
-                .adopt_outcome(&best, config.discovery.grid, config.min_surplus, round)
-                .unwrap();
+            adopt(
+                state,
+                &best,
+                config.discovery.grid,
+                config.min_surplus,
+                round,
+            )
+            .unwrap();
         }
-    }
-
-    /// The bookkeeping every round must leave intact: NBS transfers
-    /// only move cash between parties (the ledger sums to zero up to
-    /// rounding), no flow is negative, both entries of every link carry
-    /// the same volume, and the topology passes its own validation.
-    fn assert_market_invariants(state: &MarketState) {
-        let graph = state.graph();
-        let n = graph.node_count() as u32;
-        let (sum, magnitude) = (0..n)
-            .map(|i| state.cash_balance(i))
-            .fold((0.0, 0.0), |(sum, magnitude), c| {
-                (sum + c, magnitude + c.abs())
-            });
-        assert!(
-            sum.abs() <= 1e-9 * magnitude,
-            "cash ledger sums to {sum} over a magnitude of {magnitude}"
-        );
-        let flows = state.flows();
-        for i in 0..n {
-            assert!(flows.end_host(i) >= 0.0, "node {i}'s end-host flow");
-            for (pos, &j) in graph.neighbor_indices(i).iter().enumerate() {
-                let here = flows.flow(i, pos);
-                assert!(here >= 0.0, "flow ({i}, {pos}) is {here}");
-                let back = graph.neighbor_position(j, i).unwrap();
-                let there = flows.flow(j, back);
-                assert!(
-                    (here - there).abs() <= 1e-12 * here.abs().max(there.abs()),
-                    "link {i}-{j} carries {here} on one entry and {there} on the other"
-                );
-            }
-        }
-        graph.validate().unwrap();
     }
 
     mod differential {
@@ -2425,14 +2621,17 @@ mod tests {
             /// and checkpoint of a cold run that steps every round on a
             /// state and driver restored from a checkpoint taken before
             /// it (every cross-round cache empty). The k-hop policy lets
-            /// in-round and external adoptions register peering links.
-            /// Every warm round leaves the market invariants intact.
+            /// in-round and external adoptions register peering links,
+            /// and share noise sends jittered shares through the round
+            /// records into adoption's re-evaluation. Every warm round
+            /// leaves the market invariants intact.
             #[test]
             fn random_markets_evolve_identically_on_warm_and_cold_drivers(
                 ases in 200usize..320,
                 net_seed in 0u64..64,
                 master_seed in 0u64..64,
                 shock in prop_oneof![Just(0.0), Just(0.3), Just(1.0)],
+                noise in prop_oneof![Just(0.0), Just(0.1)],
                 adopt_top in 3usize..9,
                 rounds in 2usize..5,
                 external in prop::bool::ANY,
@@ -2445,6 +2644,7 @@ mod tests {
                     discovery: DiscoveryConfig {
                         policy,
                         grid: 3,
+                        noise,
                         ..DiscoveryConfig::default()
                     },
                     rounds,
@@ -2471,7 +2671,7 @@ mod tests {
                             external_adopt(&mut state, &config, round);
                         }
                         if !cold {
-                            assert_market_invariants(&state);
+                            state.check_invariants().unwrap();
                         }
                     }
                     let json =

@@ -50,6 +50,12 @@ pub enum AgreementError {
         /// Human-readable reason.
         reason: String,
     },
+    /// A market broke one of the invariants every round must keep
+    /// (see `MarketState::check_invariants`).
+    Invariant {
+        /// Human-readable description of the first violation.
+        reason: String,
+    },
     /// An underlying economic computation failed.
     Econ(pan_econ::EconError),
     /// An underlying topology operation failed.
@@ -88,6 +94,9 @@ impl fmt::Display for AgreementError {
             }
             AgreementError::Snapshot { reason } => {
                 write!(f, "invalid market checkpoint: {reason}")
+            }
+            AgreementError::Invariant { reason } => {
+                write!(f, "market invariant violated: {reason}")
             }
             AgreementError::Econ(err) => write!(f, "economic model error: {err}"),
             AgreementError::Topology(err) => write!(f, "topology error: {err}"),

@@ -21,13 +21,19 @@ use crate::rng::DeterministicRng;
 /// centroids with ±2° jitter. Links whose endpoints have no centroid are
 /// skipped (the geodistance analysis will fall back to midpoints).
 pub fn add_facilities(graph: &AsGraph, geo: &mut GeoAnnotations, rng: &mut DeterministicRng) {
-    for link in graph.links() {
-        let (Some(pa), Some(pb)) = (geo.as_location(link.a), geo.as_location(link.b)) else {
+    // Centroids by dense node index: one ASN lookup per AS instead of
+    // two per link.
+    let locations: Vec<Option<GeoPoint>> = graph.ases().map(|asn| geo.as_location(asn)).collect();
+    geo.reserve_facilities(graph.link_count());
+    for id in graph.links().map(|link| link.id) {
+        let (a, b) = graph.link_endpoint_indices(id);
+        let (Some(pa), Some(pb)) = (locations[a as usize], locations[b as usize]) else {
             continue;
         };
-        let min_degree = graph.degree(link.a).min(graph.degree(link.b));
+        let min_degree = graph.degree_of_index(a).min(graph.degree_of_index(b));
         let count = facility_count(min_degree);
-        for i in 0..count {
+        let mut facilities = Vec::with_capacity(count);
+        facilities.extend((0..count).map(|i| {
             // Interpolation fraction spreads facilities along the segment:
             // a single facility sits at the midpoint.
             let t = (i as f64 + 1.0) / (count as f64 + 1.0);
@@ -35,8 +41,9 @@ pub fn add_facilities(graph: &AsGraph, geo: &mut GeoAnnotations, rng: &mut Deter
             let lon = pa.lon_deg() + t * lon_delta(pa.lon_deg(), pb.lon_deg());
             let base = GeoPoint::new(lat.clamp(-89.0, 89.0), normalize_lon(lon))
                 .expect("clamped coordinates are valid");
-            geo.add_facility(link.id, jitter(base, 2.0, rng));
-        }
+            jitter(base, 2.0, rng)
+        }));
+        geo.extend_facilities(id, facilities);
     }
 }
 

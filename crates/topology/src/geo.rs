@@ -14,6 +14,7 @@
 //! `d(π) = d(A₁,ℓ₁₂) + d(ℓ₁₂,ℓ₂₃) + d(ℓ₂₃,A₃)` minimized over facility
 //! choices ([`GeoAnnotations::length3_geodistance`]).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
@@ -141,6 +142,23 @@ impl GeoAnnotations {
     /// Adds an interconnection facility for a link.
     pub fn add_facility(&mut self, link: LinkId, location: GeoPoint) {
         self.facilities.entry(link).or_default().push(location);
+    }
+
+    /// Adds interconnection facilities for a link, in order, with one
+    /// table lookup. A link without facilities keeps `locations` itself,
+    /// so a caller that sized it exactly pays for no spare capacity.
+    pub fn extend_facilities(&mut self, link: LinkId, locations: Vec<GeoPoint>) {
+        match self.facilities.entry(link) {
+            Entry::Vacant(entry) => {
+                entry.insert(locations);
+            }
+            Entry::Occupied(mut entry) => entry.get_mut().extend(locations),
+        }
+    }
+
+    /// Reserves room for the facilities of at least `links` more links.
+    pub fn reserve_facilities(&mut self, links: usize) {
+        self.facilities.reserve(links);
     }
 
     /// The known interconnection facilities of a link (possibly empty).

@@ -1,5 +1,6 @@
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -76,6 +77,9 @@ const CLASS_PROVIDER: usize = 0;
 const CLASS_PEER: usize = 1;
 const CLASS_CUSTOMER: usize = 2;
 const CLASSES: usize = 3;
+/// The class a node holds in its neighbor's row, by the class the
+/// neighbor holds in its own: a provider sees a customer, a peer a peer.
+const MIRROR_CLASS: [usize; CLASSES] = [CLASS_CUSTOMER, CLASS_PEER, CLASS_PROVIDER];
 
 /// Compressed-sparse-row adjacency: the fast path behind every neighbor
 /// query of [`AsGraph`].
@@ -89,6 +93,15 @@ const CLASSES: usize = 3;
 /// `HashMap` lookup. Segments are sorted by neighbor ASN, which keeps
 /// iteration order deterministic and makes membership tests a binary
 /// search over a cache-resident slice.
+///
+/// `mirrors`, the mirror lane, is parallel to `neighbors` too: for the
+/// entry of neighbor `j` in the row of `i`, it holds the position of `i`
+/// within the row of `j`. Link-symmetric updates (both flow entries of
+/// a link move together) then reach the other entry with one load
+/// instead of a search of the neighbor's row. The lane is built on
+/// first use: most graphs (generator output, discovery-only markets,
+/// figure inputs and their clones) never update a link symmetrically,
+/// and at 4 bytes per entry they should not carry it.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub(crate) struct CsrAdjacency {
     /// `3 * node_count + 1` prefix offsets into the packed arrays.
@@ -97,12 +110,19 @@ pub(crate) struct CsrAdjacency {
     neighbors: Vec<u32>,
     /// Link identifier of each packed adjacency entry.
     link_ids: Vec<u32>,
+    /// Row-relative position of each packed entry's mirror entry, once
+    /// something asked for one.
+    #[serde(skip)]
+    mirrors: OnceLock<Vec<u32>>,
 }
 
 impl CsrAdjacency {
     /// Bytes resident in the packed CSR arrays.
     pub(crate) fn resident_bytes(&self) -> usize {
-        (self.offsets.capacity() + self.neighbors.capacity() + self.link_ids.capacity())
+        (self.offsets.capacity()
+            + self.neighbors.capacity()
+            + self.link_ids.capacity()
+            + self.mirrors.get().map_or(0, Vec::capacity))
             * std::mem::size_of::<u32>()
     }
 
@@ -149,12 +169,13 @@ impl CsrAdjacency {
         // Sort every segment by neighbor ASN (carrying link ids along) so
         // iteration order is deterministic and independent of insertion
         // order, and membership tests can binary-search.
+        let mut zipped: Vec<(u32, u32)> = Vec::new();
         for s in 0..node_count * CLASSES {
             let range = offsets[s] as usize..offsets[s + 1] as usize;
-            let mut zipped: Vec<(u32, u32)> =
-                range.clone().map(|k| (neighbors[k], link_ids[k])).collect();
+            zipped.clear();
+            zipped.extend(range.clone().map(|k| (neighbors[k], link_ids[k])));
             zipped.sort_unstable_by_key(|&(n, _)| asns[n as usize]);
-            for (k, (neighbor, link)) in range.zip(zipped) {
+            for (k, &(neighbor, link)) in range.zip(&zipped) {
                 neighbors[k] = neighbor;
                 link_ids[k] = link;
             }
@@ -163,7 +184,40 @@ impl CsrAdjacency {
             offsets,
             neighbors,
             link_ids,
+            mirrors: OnceLock::new(),
         }
+    }
+
+    /// The mirror lane, built in O(E) on the first call. Node `i`
+    /// appears in segment `(j, MIRROR_CLASS[c])` exactly when `j` appears
+    /// in segment `(i, c)`, and that segment is sorted by ASN, so
+    /// visiting the owners `i` in ascending ASN order fills each segment
+    /// front to back: a cursor per segment counts out every mirror
+    /// position, with no per-link table.
+    fn mirrors(&self, asns: &[Asn]) -> &[u32] {
+        self.mirrors.get_or_init(|| {
+            let segments = self.offsets.len().saturating_sub(1);
+            let mut owners: Vec<u32> = (0..(segments / CLASSES) as u32).collect();
+            owners.sort_unstable_by_key(|&i| asns[i as usize]);
+            let mut cursors = self.offsets[..segments].to_vec();
+            let mut mirrors = vec![0u32; self.neighbors.len()];
+            for &i in &owners {
+                for class in 0..CLASSES {
+                    let seg = i as usize * CLASSES + class;
+                    let range = self.offsets[seg] as usize..self.offsets[seg + 1] as usize;
+                    for (mirror, &j) in mirrors[range.clone()]
+                        .iter_mut()
+                        .zip(&self.neighbors[range])
+                    {
+                        let j = j as usize;
+                        let cursor = &mut cursors[j * CLASSES + MIRROR_CLASS[class]];
+                        *mirror = *cursor - self.offsets[j * CLASSES];
+                        *cursor += 1;
+                    }
+                }
+            }
+            mirrors
+        })
     }
 
     #[inline]
@@ -268,6 +322,47 @@ impl CsrAdjacency {
             return &[];
         }
         &self.link_ids[self.offsets[base] as usize..self.offsets[base + CLASSES] as usize]
+    }
+
+    /// The mirror-lane entry of position `pos` in the row of `node`.
+    #[inline]
+    fn mirror(&self, asns: &[Asn], node: u32, pos: usize) -> usize {
+        self.mirrors(asns)[self.offsets[node as usize * CLASSES] as usize + pos] as usize
+    }
+
+    /// Checks that the mirror lane is an involution: every entry's
+    /// mirror lies in its neighbor's row, points back at the entry's
+    /// owner over the same link, and has the entry itself as its mirror.
+    /// Returns the first violation.
+    fn check_mirrors(&self, asns: &[Asn]) -> std::result::Result<(), String> {
+        let mirrors = self.mirrors(asns).len();
+        if mirrors != self.neighbors.len() {
+            return Err(format!(
+                "mirror lane holds {mirrors} entries for {} adjacency entries",
+                self.neighbors.len()
+            ));
+        }
+        for node in 0..asns.len() as u32 {
+            for (pos, &j) in self
+                .span_slice(node, CLASS_PROVIDER, CLASS_CUSTOMER)
+                .iter()
+                .enumerate()
+            {
+                let back = self.mirror(asns, node, pos);
+                let there = self.span_slice(j, CLASS_PROVIDER, CLASS_CUSTOMER);
+                let link = self.link_row(node)[pos];
+                if there.get(back) != Some(&node)
+                    || self.link_row(j)[back] != link
+                    || self.mirror(asns, j, back) != pos
+                {
+                    return Err(format!(
+                        "mirror of {}'s entry {pos} ({}) is not its own mirror",
+                        asns[node as usize], asns[j as usize]
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -441,6 +536,33 @@ impl AsGraph {
         self.adjacency.position_in_row(&self.asns, of, neighbor)
     }
 
+    /// The position of `node` within the packed row of its `pos`-th
+    /// neighbor: for `j = neighbor_indices(node)[pos]`, the position `q`
+    /// with `neighbor_indices(j)[q] == node`, the other entry of the same
+    /// link. Equal to `neighbor_position(j, node)`, but read from the
+    /// CSR's mirror lane with one indexed load instead of searching the
+    /// row of `j`, which matters when `j` is a hub. Dense per-entry
+    /// tables (flows, prices) use it to keep a link's two entries equal.
+    ///
+    /// The first call on a graph builds the lane in O(E) (4 bytes per
+    /// entry, counted in [`resident_bytes`](Self::resident_bytes)); the
+    /// lane is derived like the rest of the CSR, so it is never
+    /// serialized, and clones share none of it until it exists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` has no `pos`-th neighbor, including on a
+    /// deserialized graph before [`rebuild_indices`](Self::rebuild_indices).
+    #[inline]
+    #[must_use]
+    pub fn mirror_position(&self, node: u32, pos: usize) -> usize {
+        assert!(
+            pos < self.degree_of_index(node),
+            "node {node} has no neighbor at position {pos}"
+        );
+        self.adjacency.mirror(&self.asns, node, pos)
+    }
+
     /// The link indices parallel to [`neighbor_indices`](Self::neighbor_indices):
     /// entry `p` is the [`LinkId`] index of the link to the `p`-th packed
     /// neighbor, so per-[`LinkId`] tables can be joined against a row with
@@ -561,6 +683,19 @@ impl AsGraph {
         }
     }
 
+    /// The dense node indices of a link's endpoints, in [`LinkRef`]
+    /// order (`a` then `b`; the provider first for a transit link) — the
+    /// index-based variant of [`link`](Self::link).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the identifier does not belong to this graph.
+    #[must_use]
+    pub fn link_endpoint_indices(&self, id: LinkId) -> (u32, u32) {
+        let record = &self.links[id.index()];
+        (record.a, record.b)
+    }
+
     /// Iterates over all links of the graph in identifier order.
     pub fn links(&self) -> impl Iterator<Item = LinkRef> + '_ {
         (0..self.links.len() as u32).map(move |i| self.link(LinkId(i)))
@@ -652,6 +787,11 @@ impl AsGraph {
     /// [`rebuild_indices`](Self::rebuild_indices) — a corrupt link table
     /// would otherwise panic inside the CSR rebuild instead of erroring.
     ///
+    /// On a graph whose indices are built, the check also covers the
+    /// CSR's mirror lane (see [`mirror_position`](Self::mirror_position),
+    /// built here if no call built it before): the mirror of every
+    /// entry's mirror is the entry itself.
+    ///
     /// # Errors
     ///
     /// Returns [`TopologyError::CorruptWire`] naming the first violation.
@@ -685,6 +825,9 @@ impl AsGraph {
                     self.asns[link.a as usize], self.asns[link.b as usize]
                 ));
             }
+        }
+        if !self.adjacency.offsets.is_empty() {
+            self.adjacency.check_mirrors(&self.asns).or_else(corrupt)?;
         }
         Ok(())
     }
@@ -1019,6 +1162,152 @@ mod tests {
         let (d, h) = (g.index_of(a('D')).unwrap(), g.index_of(a('H')).unwrap());
         assert!(g.with_added_peering_links(&[(d, h)]).is_err());
         assert!(g.with_added_peering_links(&[(c, e), (e, c)]).is_err());
+    }
+
+    /// Every entry's mirror, as [`AsGraph::mirror_position`] reads it
+    /// from the lane and as [`AsGraph::neighbor_position`] searches it.
+    fn assert_mirror_lane_matches_search(g: &AsGraph) {
+        for node in 0..g.node_count() as u32 {
+            for (pos, &j) in g.neighbor_indices(node).iter().enumerate() {
+                assert_eq!(
+                    Some(g.mirror_position(node, pos)),
+                    g.neighbor_position(j, node),
+                    "entry {pos} of node {node}"
+                );
+            }
+        }
+        g.validate().expect("the lane is an involution");
+    }
+
+    #[test]
+    fn mirror_lane_matches_neighbor_search_on_fig1() {
+        assert_mirror_lane_matches_search(&fig1());
+    }
+
+    #[test]
+    fn resident_bytes_count_the_packed_arrays_and_the_lane() {
+        let g = fig1();
+        let entries = 2 * g.link_count();
+        let offsets = CLASSES * g.node_count() + 1;
+        // Offsets, then neighbors and link ids per entry; no lane yet.
+        assert!(g.adjacency.mirrors.get().is_none());
+        let without_lane = g.adjacency.resident_bytes();
+        assert!(without_lane >= (offsets + 2 * entries) * 4);
+        // The first mirror lookup adds the lane, 4 bytes per entry.
+        let _ = g.mirror_position(0, 0);
+        assert_eq!(g.adjacency.resident_bytes(), without_lane + entries * 4);
+        assert!(g.resident_bytes() > g.adjacency.resident_bytes());
+    }
+
+    #[test]
+    fn validate_rejects_a_corrupt_mirror_lane() {
+        let mut g = fig1();
+        let d = g.index_of(a('D')).unwrap();
+        let start = g.adjacency.offsets[d as usize * CLASSES] as usize;
+        // D's row holds A, C, E, H: point C's entry at E's mirror.
+        let _ = g.mirror_position(d, 0);
+        g.adjacency
+            .mirrors
+            .get_mut()
+            .unwrap()
+            .swap(start + 1, start + 2);
+        assert!(matches!(
+            g.validate(),
+            Err(TopologyError::CorruptWire { .. })
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "no neighbor at position")]
+    fn mirror_position_past_the_row_panics() {
+        let g = fig1();
+        let d = g.index_of(a('D')).unwrap();
+        let _ = g.mirror_position(d, g.degree_of_index(d));
+    }
+
+    mod lane {
+        use super::*;
+        use crate::AsGraphBuilder;
+        use proptest::prelude::*;
+
+        /// A prime modulus: `i ↦ (i · scale + shift) mod ASN_MODULUS` is
+        /// one-to-one for `i < ASN_MODULUS` and any `scale` not divisible
+        /// by it.
+        const ASN_MODULUS: u64 = 100_003;
+
+        /// A random graph over `nodes` ASes with scrambled ASNs (so ASN
+        /// order differs from index order): transit links point from a
+        /// lower to a higher index, which rules out provider cycles, and
+        /// every other drawn pair peers. Pairs that are already linked
+        /// are skipped.
+        fn random_graph(
+            nodes: u32,
+            (scale, shift): (u64, u64),
+            links: &[(u32, u32, bool)],
+        ) -> AsGraph {
+            let asns: Vec<u32> = (0..u64::from(nodes))
+                .map(|i| ((i * scale + shift) % ASN_MODULUS) as u32 + 1)
+                .collect();
+            let mut b = AsGraphBuilder::new();
+            for &asn in &asns {
+                b.add_as(Asn::new(asn));
+            }
+            for &(u, v, transit) in links {
+                let (u, v) = (u % nodes, v % nodes);
+                if u == v {
+                    continue;
+                }
+                let (p, c) = (u.min(v), u.max(v));
+                let relationship = if transit {
+                    Relationship::ProviderToCustomer
+                } else {
+                    Relationship::PeerToPeer
+                };
+                let (x, y) = (Asn::new(asns[p as usize]), Asn::new(asns[c as usize]));
+                let _ = b.add_link(x, y, relationship);
+            }
+            b.build().expect("tiers rule out provider cycles")
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn mirror_lane_matches_neighbor_search(
+                nodes in 2u32..60,
+                scale in 1u64..ASN_MODULUS,
+                shift in 0u64..ASN_MODULUS,
+                links in prop::collection::vec((0u32..60, 0u32..60, prop::bool::ANY), 0..240),
+                added in prop::collection::vec((0u32..60, 0u32..60), 0..8),
+            ) {
+                let g = random_graph(nodes, (scale, shift), &links);
+                assert_mirror_lane_matches_search(&g);
+
+                // New peering links between non-adjacent pairs.
+                let mut pairs: Vec<(u32, u32)> = Vec::new();
+                for &(u, v) in &added {
+                    let (u, v) = (u % nodes, v % nodes);
+                    let key = (u.min(v), u.max(v));
+                    if u != v
+                        && g.neighbor_position(u, v).is_none()
+                        && !pairs.iter().any(|&(a, b)| (a.min(b), a.max(b)) == key)
+                    {
+                        pairs.push((u, v));
+                    }
+                }
+                let extended = g.with_added_peering_links(&pairs).unwrap();
+                assert_mirror_lane_matches_search(&extended);
+
+                // The lane is off the wire and comes back with the CSR.
+                let json = serde_json::to_string(&extended).unwrap();
+                prop_assert!(!json.contains("mirrors"));
+                let mut back: AsGraph = serde_json::from_str(&json).unwrap();
+                back.validate().unwrap();
+                back.rebuild_indices();
+                assert_mirror_lane_matches_search(&back);
+                prop_assert_eq!(back.adjacency.mirrors.get(), extended.adjacency.mirrors.get());
+            }
+        }
     }
 
     #[test]
