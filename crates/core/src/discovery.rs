@@ -574,40 +574,23 @@ pub(crate) fn rank_cmp(a: (f64, Asn, Asn), b: (f64, Asn, Asn)) -> Ordering {
 }
 
 /// A 24-byte stand-in for one outcome in the adoption ranking: the
-/// fields [`rank_cmp`] reads, packed into integers that compare the
-/// same way, the outcome's index, and whether it has a cash optimum
-/// (where the scan ends), so selecting and sorting moves and compares
+/// fields [`rank_cmp`] reads, the outcome's index, and whether it has a
+/// cash optimum (where the scan ends), so selecting and sorting moves
 /// keys instead of outcome records.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RankKey {
-    /// The surplus mapped onto `u64` so that ascending integer order is
-    /// descending [`f64::total_cmp`] order.
-    descending: u64,
-    /// `(x << 32) | y`: ascending order is the ASN pair's.
-    parties: u64,
+    surplus: f64,
+    x: Asn,
+    y: Asn,
     index: u32,
     cash: bool,
 }
 
 impl RankKey {
-    fn new(surplus: f64, (x, y): (Asn, Asn), index: usize, cash: bool) -> Self {
-        // `f64::total_cmp` orders the bits as a signed integer after
-        // flipping the magnitude bits of negative values; flipping the
-        // sign bit makes that unsigned, and `!` makes it descending.
-        let bits = surplus.to_bits() as i64;
-        let total = bits ^ (((bits >> 63) as u64) >> 1) as i64;
-        RankKey {
-            descending: !((total as u64) ^ (1 << 63)),
-            parties: (u64::from(x.get()) << 32) | u64::from(y.get()),
-            index: index as u32,
-            cash,
-        }
-    }
-
     /// [`rank_cmp`], then the outcome index: equal `(surplus, x, y)`
     /// keep their input order, as the stable report sort does.
     fn order(a: &RankKey, b: &RankKey) -> Ordering {
-        (a.descending, a.parties, a.index).cmp(&(b.descending, b.parties, b.index))
+        rank_cmp((a.surplus, a.x, a.y), (b.surplus, b.x, b.y)).then(a.index.cmp(&b.index))
     }
 }
 
@@ -645,7 +628,14 @@ pub(crate) fn ranked_scan<'a>(
             .enumerate()
             .filter(|(_, record)| record.surplus > min_surplus)
             .map(|(index, record)| {
-                RankKey::new(record.surplus, parties(index), index, record.cash)
+                let (x, y) = parties(index);
+                RankKey {
+                    surplus: record.surplus,
+                    x,
+                    y,
+                    index: index as u32,
+                    cash: record.cash,
+                }
             }),
     );
     ChunkedRanking::new(keys, first_chunk)
@@ -2876,38 +2866,6 @@ pub(crate) mod tests {
                 adopt_top,
             );
             prop_assert_eq!(adopted, expected);
-        }
-    }
-
-    #[test]
-    fn rank_keys_order_as_rank_cmp() {
-        let surpluses = [
-            f64::NEG_INFINITY,
-            -3.5,
-            -f64::MIN_POSITIVE,
-            -0.0,
-            0.0,
-            f64::MIN_POSITIVE,
-            1e-9,
-            1.0,
-            1.0 + f64::EPSILON,
-            7.25e300,
-            f64::INFINITY,
-            f64::NAN,
-        ];
-        let parties = [(1, 2), (1, 3), (2, 1), (u32::MAX, 0)];
-        let mut keyed = Vec::new();
-        for &surplus in &surpluses {
-            for &(x, y) in &parties {
-                keyed.push((surplus, Asn::new(x), Asn::new(y)));
-            }
-        }
-        for (i, &a) in keyed.iter().enumerate() {
-            for (j, &b) in keyed.iter().enumerate() {
-                let ka = RankKey::new(a.0, (a.1, a.2), 0, true);
-                let kb = RankKey::new(b.0, (b.1, b.2), 0, true);
-                assert_eq!(RankKey::order(&ka, &kb), rank_cmp(a, b), "{i} vs {j}");
-            }
         }
     }
 

@@ -191,51 +191,13 @@ struct Enumeration {
     /// the whole enumeration by the first noise-free round that finds it
     /// missing. Noisy rounds never read it, so they never allocate it.
     transit: Option<Vec<PairTransit>>,
-    /// Parallel to `pairs`: which pairs hold an adopted agreement, so a
-    /// round filters its candidates by bit instead of probing the
-    /// state's adopted set per pair. Rebuilt from that set with the
-    /// enumeration; a round's own adoptions mark their bits, and an
-    /// adoption outside a round drops the bitmap for the next round to
-    /// rebuild.
-    adopted: Option<AdoptedBits>,
-}
-
-/// One bit per enumeration position, set for the pairs that hold an
-/// adopted agreement.
-#[derive(Debug, Clone)]
-struct AdoptedBits {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl AdoptedBits {
-    /// The bitmap of `pairs` against the state's adopted set.
-    fn of(pairs: &[CandidatePair], state: &MarketState) -> Self {
-        let mut bits = AdoptedBits {
-            words: vec![0; pairs.len().div_ceil(64)],
-            len: pairs.len(),
-        };
-        for (index, pair) in pairs.iter().enumerate() {
-            if state.is_adopted(pair.x, pair.y) {
-                bits.mark(index);
-            }
-        }
-        bits
-    }
-
-    fn mark(&mut self, index: usize) {
-        self.words[index / 64] |= 1 << (index % 64);
-    }
-
-    /// The positions whose bit is clear, ascending.
-    fn unadopted(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.len as u32).filter(|&i| self.words[i as usize / 64] & (1 << (i % 64)) == 0)
-    }
-
-    /// Bytes resident in the bitmap.
-    fn resident_bytes(&self) -> usize {
-        self.words.capacity() * std::mem::size_of::<u64>()
-    }
+    /// Parallel to `pairs`: whether each pair holds an adopted
+    /// agreement, so a round filters its candidates by position instead
+    /// of probing the state's adopted set per pair. Rebuilt from that
+    /// set with the enumeration; a round's own adoptions mark their
+    /// positions, and an adoption outside a round drops the flags for
+    /// the next round to rebuild.
+    adopted: Option<Vec<bool>>,
 }
 
 /// How often a cached table was rebuilt and how often a round reused
@@ -269,7 +231,7 @@ impl RoundCache {
                 transit.capacity() * size_of::<PairTransit>()
                     + transit.iter().map(PairTransit::heap_bytes).sum::<usize>()
             });
-            let adopted = e.adopted.as_ref().map_or(0, AdoptedBits::resident_bytes);
+            let adopted = e.adopted.as_ref().map_or(0, Vec::capacity);
             e.pairs.capacity() * size_of::<CandidatePair>() + transit + adopted
         });
         enumeration + self.filtered.capacity() * size_of::<u32>()
@@ -462,7 +424,8 @@ impl MarketState {
     /// Checks the bookkeeping every round must leave intact:
     ///
     /// - NBS transfers only move cash between parties, so the ledger
-    ///   sums to zero up to rounding (`1e-9` of the summed magnitudes);
+    ///   sums to zero up to rounding (`1e-9` of the summed magnitudes)
+    ///   and a NaN or infinite sum fails;
     /// - no flow entry (end-host slots included) is negative;
     /// - both entries of every link carry the same volume (to `1e-12`
     ///   relative), each entry's twin read through
@@ -484,7 +447,7 @@ impl MarketState {
             .fold((0.0, 0.0), |(sum, magnitude): (f64, f64), &c| {
                 (sum + c, magnitude + c.abs())
             });
-        if sum.abs() > 1e-9 * magnitude {
+        if !sum.is_finite() || sum.abs() > 1e-9 * magnitude {
             return broken(format!(
                 "cash ledger sums to {sum} over a magnitude of {magnitude}"
             ));
@@ -612,9 +575,9 @@ impl MarketState {
         self.cash[x as usize] -= cash.transfer_x_to_y;
         self.cash[y as usize] += cash.transfer_x_to_y;
         self.adopted.insert((x, y));
-        // The cached bitmap has no position for the pair at hand. A
+        // The cached flags have no position for the pair at hand. A
         // round's own adoptions find the cache out of the state and mark
-        // their bits themselves.
+        // their positions themselves.
         if let Some(enumeration) = &mut self.round_cache.enumeration {
             enumeration.adopted = None;
         }
@@ -1144,7 +1107,8 @@ impl EvolutionDriver {
             }
             let enumeration = cache.enumeration.as_mut().expect("enumerated above");
             if enumeration.adopted.is_none() {
-                enumeration.adopted = Some(AdoptedBits::of(&enumeration.pairs, state));
+                let flags = enumeration.pairs.iter().map(|p| state.is_adopted(p.x, p.y));
+                enumeration.adopted = Some(flags.collect());
             }
             cache.enumerations.count(
                 rebuilt,
@@ -1249,7 +1213,7 @@ fn full_round(
     let pairs = &*pairs;
     let adopted = adopted
         .as_mut()
-        .expect("the round built the adopted bitmap with the enumeration");
+        .expect("the round flagged adopted pairs with the enumeration");
     // 1. This round's candidate view: the non-adopted enumeration
     // indices, in enumeration order (reusing the cache's buffer). The
     // sweeps below hand workers row-locality tiles of consecutive
@@ -1260,7 +1224,13 @@ fn full_round(
     {
         let _span = pan_telemetry::histogram("core.phase.enumerate_ns").start();
         filtered.clear();
-        filtered.extend(adopted.unadopted());
+        filtered.extend(
+            adopted
+                .iter()
+                .enumerate()
+                .filter(|&(_, &adopted)| !adopted)
+                .map(|(position, _)| position as u32),
+        );
     }
     let evaluated = {
         let ctx = BatchContext::new(&state.graph, &state.econ, &state.flows)?;
@@ -1392,7 +1362,7 @@ fn full_round(
             config.min_surplus,
             round,
         )? {
-            adopted.mark(position);
+            adopted[position] = true;
             busy[i] = true;
             busy[j] = true;
             adopted_surplus += agreement.joint_utility;
@@ -2421,16 +2391,16 @@ mod tests {
                  and any price shock (shock {shock})"
             );
             let enumeration = cache.enumeration.as_ref().unwrap();
-            let bits = enumeration
+            let flags = enumeration
                 .adopted
                 .as_ref()
-                .expect("rounds keep the bitmap");
-            assert!(bits.resident_bytes() >= enumeration.pairs.len().div_ceil(64) * 8);
+                .expect("rounds keep the adopted flags");
+            assert_eq!(flags.len(), enumeration.pairs.len());
             assert!(
                 cache.resident_bytes()
                     >= enumeration.pairs.len() * std::mem::size_of::<CandidatePair>()
-                        + bits.resident_bytes(),
-                "the cache's footprint covers its adopted bitmap"
+                        + flags.capacity(),
+                "the cache's footprint covers its adopted flags"
             );
             assert!(
                 state.resident_bytes() > cache.resident_bytes(),
@@ -2462,6 +2432,45 @@ mod tests {
     }
 
     #[test]
+    fn check_invariants_reports_broken_ledgers_and_flows() {
+        let fresh = arbitrage_state(false);
+        fresh.check_invariants().unwrap();
+        let (p, x) = (
+            fresh.graph.index_of(P).unwrap(),
+            fresh.graph.index_of(X).unwrap(),
+        );
+        let y = fresh.graph.index_of(Y).unwrap();
+        let to_p = fresh.graph.neighbor_position(x, p).unwrap();
+        let check = |edit: &dyn Fn(&mut MarketState)| {
+            let mut state = fresh.clone();
+            edit(&mut state);
+            state.check_invariants()
+        };
+        // A transfer between the parties keeps the ledger at zero.
+        check(&|s| {
+            s.cash[x as usize] = 2.5;
+            s.cash[y as usize] = -2.5;
+        })
+        .unwrap();
+        // A NaN compares false against every bound, so each check has
+        // to reject it on its own.
+        let broken: [&dyn Fn(&mut MarketState); 5] = [
+            &|s| s.cash[x as usize] = f64::NAN,
+            &|s| s.cash[x as usize] = 1.0,
+            &|s| s.flows.set(x, to_p, 11.0),
+            // `FlowMatrix::set` refuses these, so write the row.
+            &|s| s.flows.row_mut(x)[to_p] = f64::NAN,
+            &|s| *s.flows.row_mut(y).last_mut().unwrap() = -1.0,
+        ];
+        for (case, edit) in broken.iter().enumerate() {
+            assert!(
+                matches!(check(edit), Err(AgreementError::Invariant { .. })),
+                "case {case}"
+            );
+        }
+    }
+
+    #[test]
     fn round_records_fit_in_32_bytes() {
         use std::mem::size_of;
         // What the evaluation sweep writes per candidate: the pool's
@@ -2471,30 +2480,7 @@ mod tests {
     }
 
     #[test]
-    fn adopted_bits_list_the_clear_positions() {
-        let pairs = |n: u32| -> Vec<CandidatePair> {
-            (0..n)
-                .map(|i| CandidatePair {
-                    x: i,
-                    y: i + 1,
-                    peering_hops: 1,
-                })
-                .collect()
-        };
-        let state = arbitrage_state(false);
-        for len in [0u32, 1, 63, 64, 65, 130] {
-            let mut bits = AdoptedBits::of(&pairs(len), &state);
-            let marked: Vec<u32> = (0..len).filter(|i| i % 3 == 0 || *i == 63).collect();
-            for &i in &marked {
-                bits.mark(i as usize);
-            }
-            let clear: Vec<u32> = (0..len).filter(|i| !marked.contains(i)).collect();
-            assert_eq!(bits.unadopted().collect::<Vec<_>>(), clear, "{len} pairs");
-        }
-    }
-
-    #[test]
-    fn adopted_bitmap_follows_in_round_and_external_adoptions() {
+    fn adopted_flags_follow_in_round_and_external_adoptions() {
         let config = EvolutionConfig {
             discovery: DiscoveryConfig {
                 grid: 3,
@@ -2510,22 +2496,20 @@ mod tests {
         let mut driver = EvolutionDriver::new(config).unwrap();
         let first = driver.step(&mut state, &sweep).unwrap();
         assert!(!first.agreements.is_empty(), "the market trades");
-        let bitmap_matches_the_set = |state: &MarketState| {
+        let flags_match_the_set = |state: &MarketState| {
             let enumeration = state.round_cache().enumeration.as_ref().unwrap();
-            let bits = enumeration.adopted.as_ref().unwrap();
-            let clear: Vec<u32> = bits.unadopted().collect();
-            let expected: Vec<u32> = (0..enumeration.pairs.len() as u32)
-                .filter(|&i| {
-                    let pair = enumeration.pairs[i as usize];
-                    !state.is_adopted(pair.x, pair.y)
-                })
+            let flags = enumeration.adopted.as_ref().unwrap();
+            let expected: Vec<bool> = enumeration
+                .pairs
+                .iter()
+                .map(|pair| state.is_adopted(pair.x, pair.y))
                 .collect();
-            assert_eq!(clear, expected);
+            assert_eq!(flags, &expected);
         };
         // The round marked its own adoptions.
-        bitmap_matches_the_set(&state);
+        flags_match_the_set(&state);
 
-        // An adoption outside a round drops the bitmap; the next round
+        // An adoption outside a round drops the flags; the next round
         // rebuilds it from the adopted set.
         external_adopt(&mut state, &config, 1);
         let enumeration = state.round_cache().enumeration.as_ref().unwrap();
@@ -2536,7 +2520,7 @@ mod tests {
             second.record.candidates,
             first.record.candidates - state.adopted_count() + second.agreements.len()
         );
-        bitmap_matches_the_set(&state);
+        flags_match_the_set(&state);
     }
 
     #[test]

@@ -24,7 +24,6 @@ pub fn add_facilities(graph: &AsGraph, geo: &mut GeoAnnotations, rng: &mut Deter
     // Centroids by dense node index: one ASN lookup per AS instead of
     // two per link.
     let locations: Vec<Option<GeoPoint>> = graph.ases().map(|asn| geo.as_location(asn)).collect();
-    geo.reserve_facilities(graph.link_count());
     for id in graph.links().map(|link| link.id) {
         let (a, b) = graph.link_endpoint_indices(id);
         let (Some(pa), Some(pb)) = (locations[a as usize], locations[b as usize]) else {
@@ -32,8 +31,7 @@ pub fn add_facilities(graph: &AsGraph, geo: &mut GeoAnnotations, rng: &mut Deter
         };
         let min_degree = graph.degree_of_index(a).min(graph.degree_of_index(b));
         let count = facility_count(min_degree);
-        let mut facilities = Vec::with_capacity(count);
-        facilities.extend((0..count).map(|i| {
+        let facilities = (0..count).map(|i| {
             // Interpolation fraction spreads facilities along the segment:
             // a single facility sits at the midpoint.
             let t = (i as f64 + 1.0) / (count as f64 + 1.0);
@@ -42,8 +40,8 @@ pub fn add_facilities(graph: &AsGraph, geo: &mut GeoAnnotations, rng: &mut Deter
             let base = GeoPoint::new(lat.clamp(-89.0, 89.0), normalize_lon(lon))
                 .expect("clamped coordinates are valid");
             jitter(base, 2.0, rng)
-        }));
-        geo.extend_facilities(id, facilities);
+        });
+        geo.extend_facilities(id, facilities.collect());
     }
 }
 

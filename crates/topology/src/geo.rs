@@ -139,11 +139,6 @@ impl GeoAnnotations {
         self.as_locations.len()
     }
 
-    /// Adds an interconnection facility for a link.
-    pub fn add_facility(&mut self, link: LinkId, location: GeoPoint) {
-        self.facilities.entry(link).or_default().push(location);
-    }
-
     /// Adds interconnection facilities for a link, in order, with one
     /// table lookup. A link without facilities keeps `locations` itself,
     /// so a caller that sized it exactly pays for no spare capacity.
@@ -154,11 +149,6 @@ impl GeoAnnotations {
             }
             Entry::Occupied(mut entry) => entry.get_mut().extend(locations),
         }
-    }
-
-    /// Reserves room for the facilities of at least `links` more links.
-    pub fn reserve_facilities(&mut self, links: usize) {
-        self.facilities.reserve(links);
     }
 
     /// The known interconnection facilities of a link (possibly empty).
@@ -280,9 +270,9 @@ mod tests {
         let l_ad = g.link_between(asn('A'), asn('D')).unwrap().id;
         let l_de = g.link_between(asn('D'), asn('E')).unwrap().id;
         // Two facilities for A–D: one nearby, one absurdly far.
-        geo.add_facility(l_ad, p(0.0, 5.0));
-        geo.add_facility(l_ad, p(80.0, 5.0));
-        geo.add_facility(l_de, p(0.0, 15.0));
+        geo.extend_facilities(l_ad, vec![p(0.0, 5.0)]);
+        geo.extend_facilities(l_ad, vec![p(80.0, 5.0)]);
+        geo.extend_facilities(l_de, vec![p(0.0, 15.0)]);
         let d = geo
             .length3_geodistance(&g, asn('A'), asn('D'), asn('E'))
             .unwrap();
