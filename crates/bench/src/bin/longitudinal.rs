@@ -17,15 +17,16 @@
 //! the market, not the method. Plus:
 //!
 //! - `--bench-out <path>`: write the record `BENCH_longitudinal.json`
-//!   commits — per-year build/evolve timings, allocation counts, peak
-//!   RSS, and cache temperature on top of the deterministic report;
+//!   commits — per-year build/evolve timings, allocation counts, and peak
+//!   RSS on top of the deterministic report;
 //! - `--metrics-out <path>`: enable engine-wide telemetry and write the
-//!   final registry snapshot (snapshot parse/cache-load timings, phase
-//!   breakdowns) as JSON.
+//!   final registry snapshot (snapshot parse timings, phase breakdowns)
+//!   as JSON.
 //!
-//! Timings and cache temperature go to **stderr**: stdout (and the
-//! `--json` dump) is byte-identical at any `--threads` value and cache
-//! state — the property the CI `longitudinal-smoke` job diffs.
+//! Timings go to **stderr**: stdout (and the `--json` dump) is
+//! byte-identical at any `--threads` value — the property the CI
+//! `longitudinal-smoke` job diffs. Loading a snapshot only reads its
+//! directory.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -46,7 +47,7 @@ use pan_topology::snapshot;
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// Deterministic per-snapshot summary (no wall-clock, no cache state).
+/// Deterministic per-snapshot summary (no wall-clock).
 #[derive(Debug, Clone, Serialize)]
 struct YearSummary {
     snapshot: String,
@@ -81,11 +82,10 @@ struct LongitudinalReport {
     diffs: Vec<YearDiff>,
 }
 
-/// Wall-clock, cache-state, and memory facts, kept out of stdout.
+/// Wall-clock and memory facts, kept out of stdout.
 #[derive(Debug, Serialize)]
 struct YearTiming {
     snapshot: String,
-    cache_warm: bool,
     build_seconds: f64,
     evolve_seconds: f64,
     /// Cumulative allocation counters and peak RSS as of this year's
@@ -148,8 +148,8 @@ fn main() {
             snapshot: Some(name.clone()),
         };
         let t_build = Instant::now();
-        let (net, status) = source
-            .build_with_status(spec.seed)
+        let net = source
+            .build(spec.seed)
             .unwrap_or_else(|e| panic!("cannot load snapshot {name}: {e}"));
         let build_seconds = t_build.elapsed().as_secs_f64();
         let mut state = MarketState::standard(net.graph.clone(), |asn| market_tier(&net, asn))
@@ -157,12 +157,10 @@ fn main() {
         let t_evolve = Instant::now();
         let report = evolve(&mut state, &config, &spec.sweep()).expect("evolution succeeds");
         let evolve_seconds = t_evolve.elapsed().as_secs_f64();
-        let cache_warm = status.cache.is_some_and(|c| c.is_warm());
         eprintln!(
-            "# {name}: built {} ASes in {build_seconds:.2}s ({} cache), evolved {} rounds \
+            "# {name}: built {} ASes in {build_seconds:.2}s, evolved {} rounds \
              in {evolve_seconds:.2}s",
             net.graph.node_count(),
-            if cache_warm { "warm" } else { "cold" },
             report.rounds.len(),
         );
 
@@ -186,7 +184,6 @@ fn main() {
         });
         timings.push(YearTiming {
             snapshot: name.clone(),
-            cache_warm,
             build_seconds,
             evolve_seconds,
             memory: MemoryReport::capture(),

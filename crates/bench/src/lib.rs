@@ -68,14 +68,6 @@ pub fn market_tier(net: &SyntheticInternet, asn: Asn) -> MarketTier {
     }
 }
 
-/// Tier-aware synthetic economy shared by `discover` and `evolve`: the
-/// shared [`pan_econ::market::standard_economics`] rates keyed by the
-/// net's tier table.
-#[must_use]
-pub fn synthetic_economics(net: &SyntheticInternet) -> DenseEconomics {
-    pan_econ::market::standard_economics(&net.graph, |asn| market_tier(net, asn))
-}
-
 /// The spec at market scale: `--ases 0` defaults to the 10,000-AS
 /// internet the discovery/evolution/serving workloads target (the figure
 /// binaries keep their smaller per-figure defaults).

@@ -1,10 +1,11 @@
 //! Integration tests of the unified market-ingestion layer over the
 //! committed fixture snapshots (`fixtures/caida/`, regenerate with the
 //! `make_fixture_snapshots` example): CAIDA-loaded markets must be
-//! byte-identical across thread counts and cache temperature, and a
-//! serve session loaded from a CAIDA source must step exactly like an
-//! offline `evolve` over the same snapshot.
+//! byte-identical across thread counts and builds and carry both
+//! sidecars, and a serve session loaded from a CAIDA source must step
+//! exactly like an offline `evolve` over the same snapshot.
 
+use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
@@ -13,9 +14,10 @@ use serde::{Deserialize, Value};
 
 use pan_bench::{evolution_config, load_market_request, market_state, ScenarioSpec};
 use pan_core::dynamics::{evolve, RoundRecord};
-use pan_datasets::MarketSource;
+use pan_datasets::{prefix, MarketSource};
 use pan_runtime::{ScenarioSweep, ThreadPool};
 use pan_serve::MarketServer;
+use pan_topology::snapshot;
 
 fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../fixtures/caida")
@@ -65,54 +67,53 @@ fn caida_evolution_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn warm_cache_load_is_bit_equal_to_a_cold_parse() {
-    // A private copy of the fixture snapshot, so deleting the cache here
-    // cannot race the other tests (which tolerate either temperature).
-    let scratch = std::env::temp_dir().join(format!("pan-caida-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    std::fs::create_dir_all(scratch.join("2023")).unwrap();
-    for file in ["relationships.txt", "geo.txt", "prefix2as.txt"] {
-        std::fs::copy(
-            fixture_dir().join("2023").join(file),
-            scratch.join("2023").join(file),
-        )
-        .unwrap();
-    }
-
+fn snapshot_builds_are_equal_and_carry_both_sidecars() {
     let source = MarketSource::Caida {
-        dir: scratch.clone(),
+        dir: fixture_dir(),
         snapshot: Some("2023".to_owned()),
     };
-    let (cold_net, cold_status) = source.build_with_status(23).unwrap();
-    assert!(
-        !cold_status.cache.unwrap().is_warm(),
-        "first load must parse"
+    let first = source.build(23).unwrap();
+    let second = source.build(23).unwrap();
+    assert_eq!(
+        serde_json::to_string(&first.graph).unwrap(),
+        serde_json::to_string(&second.graph).unwrap()
     );
-    assert!(cold_status.prefix_sidecar && cold_status.geo_sidecar);
-    let (warm_net, warm_status) = source.build_with_status(23).unwrap();
-    assert!(warm_status.cache.unwrap().is_warm(), "second load must hit");
+    assert_eq!(
+        serde_json::to_string(&first.prefixes).unwrap(),
+        serde_json::to_string(&second.prefixes).unwrap()
+    );
+    assert_eq!(
+        serde_json::to_string(&first.capacities).unwrap(),
+        serde_json::to_string(&second.capacities).unwrap()
+    );
+    for asn in first.graph.ases() {
+        assert_eq!(first.geo.as_location(asn), second.geo.as_location(asn));
+        assert_eq!(first.tier(asn), second.tier(asn));
+    }
 
-    assert_eq!(
-        serde_json::to_string(&cold_net.graph).unwrap(),
-        serde_json::to_string(&warm_net.graph).unwrap()
-    );
-    assert_eq!(
-        serde_json::to_string(&cold_net.prefixes).unwrap(),
-        serde_json::to_string(&warm_net.prefixes).unwrap()
-    );
-    assert_eq!(
-        serde_json::to_string(&cold_net.capacities).unwrap(),
-        serde_json::to_string(&warm_net.capacities).unwrap()
-    );
-    for asn in cold_net.graph.ases() {
-        assert_eq!(cold_net.geo.as_location(asn), warm_net.geo.as_location(asn));
-        assert_eq!(cold_net.tier(asn), warm_net.tier(asn));
+    // Both sidecars reach the market: a located AS sits exactly at its
+    // sidecar point, and a prefix-table AS owns the sidecar's prefixes.
+    let snapshot_dir = fixture_dir().join("2023");
+    let read = |file: &str| std::fs::read_to_string(snapshot_dir.join(file)).unwrap();
+    let located = snapshot::parse_geo(&read(snapshot::GEO_FILE)).unwrap();
+    assert!(!located.is_empty(), "the fixture locates some ASes");
+    for (asn, point) in located {
+        assert_eq!(first.geo.as_location(asn), Some(point), "{asn}");
+    }
+    let sidecar = prefix::parse_pfx2as(&read(snapshot::PREFIXES_FILE), &first.graph).unwrap();
+    let origins: BTreeSet<_> = first
+        .graph
+        .ases()
+        .filter(|&asn| !sidecar.prefixes_of(asn).is_empty())
+        .collect();
+    assert!(!origins.is_empty(), "the fixture originates some prefixes");
+    for asn in origins {
         assert_eq!(
-            cold_net.graph.providers(asn).collect::<Vec<_>>(),
-            warm_net.graph.providers(asn).collect::<Vec<_>>(),
+            first.prefixes.prefixes_of(asn),
+            sidecar.prefixes_of(asn),
+            "{asn}"
         );
     }
-    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 struct Client {

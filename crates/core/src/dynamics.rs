@@ -508,7 +508,7 @@ impl MarketState {
     ///
     /// # Errors
     ///
-    /// Propagates evaluation, remapping, and topology errors; rejects a
+    /// Propagates evaluation and topology errors; rejects a
     /// non-finite or negative `min_surplus`.
     ///
     /// # Panics
@@ -557,17 +557,15 @@ impl MarketState {
             return Ok(None);
         }
         // Prospective partners first establish settlement-free peering:
-        // the new link lands in the CSR layer and the dense tables are
-        // remapped onto the extended shape (indices are preserved).
+        // the new link lands in the CSR layer and both dense tables open
+        // its slot in the parties' rows (indices are preserved).
         let new_link = !self.graph.has_neighbor_kind(x, y, NeighborKind::Peer);
         if new_link {
-            let next = self.graph.with_added_peering_links(&[(x, y)])?;
-            self.econ = self.econ.remapped(&self.graph, &next)?;
-            self.flows = self.flows.remapped(&self.graph, &next)?;
-            self.graph = next;
-            // Remapping is index-stable and only the parties' rows gain a
-            // slot, but the cached enumeration and its transits are now
-            // stale.
+            let (pos_x, pos_y) = self.graph.add_peering_link(x, y)?;
+            self.econ.insert_peering_link([(x, pos_x), (y, pos_y)]);
+            self.flows.insert_link([(x, pos_x), (y, pos_y)]);
+            // Only the parties' rows gained a slot, but the cached
+            // enumeration and its transits are now stale.
             self.round_cache.enumeration = None;
         }
         self.materialize(x, y, shares, (cash.reroute, cash.attract));
@@ -1080,7 +1078,7 @@ impl EvolutionDriver {
     ///
     /// # Errors
     ///
-    /// Propagates evaluation, remapping, and topology errors.
+    /// Propagates evaluation and topology errors.
     pub fn step(&mut self, state: &mut MarketState, sweep: &ScenarioSweep) -> Result<RoundOutcome> {
         let started = Instant::now();
         let round = self.rounds_done;
@@ -1396,7 +1394,7 @@ fn full_round(
 ///
 /// Returns [`AgreementError::InvalidFraction`] /
 /// [`AgreementError::DimensionMismatch`] for invalid configurations and
-/// propagates evaluation, remapping, and topology errors.
+/// propagates evaluation and topology errors.
 pub fn evolve(
     state: &mut MarketState,
     config: &EvolutionConfig,

@@ -49,7 +49,7 @@ pub use error::DatasetError;
 pub use internet::{InternetConfig, SyntheticInternet, Tier};
 pub use prefix::{Ipv4Prefix, PrefixTable};
 pub use sampler::WeightedSampler;
-pub use source::{MarketSource, SourceStatus};
+pub use source::MarketSource;
 
 /// Convenience alias for results in this crate.
 pub type Result<T> = std::result::Result<T, DatasetError>;

@@ -16,15 +16,14 @@
 //!   synthetically.
 //!
 //! Construction is deterministic given the source and a seed, independent
-//! of thread count and cache temperature: the graph cache stores the exact
-//! serde form of the parsed graph, and all synthetic fill runs on labelled
-//! substreams of the seed.
+//! of thread count: the snapshot is parsed on every build, and all
+//! synthetic fill runs on labelled substreams of the seed.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use pan_topology::geo::GeoPoint;
-use pan_topology::snapshot::{self, CacheStatus};
+use pan_topology::snapshot;
 use pan_topology::Asn;
 
 use crate::internet::{default_regions, Skeleton, Tier};
@@ -48,30 +47,6 @@ pub enum MarketSource {
     },
 }
 
-/// How a [`MarketSource::build_with_status`] call obtained its data.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SourceStatus {
-    /// Graph-cache temperature, `None` for synthetic builds.
-    pub cache: Option<CacheStatus>,
-    /// Resolved snapshot directory, `None` for synthetic builds.
-    pub snapshot_dir: Option<PathBuf>,
-    /// Whether a prefix-to-AS sidecar supplied the prefix table.
-    pub prefix_sidecar: bool,
-    /// Whether a geolocation sidecar supplied AS locations.
-    pub geo_sidecar: bool,
-}
-
-impl SourceStatus {
-    fn synthetic() -> Self {
-        SourceStatus {
-            cache: None,
-            snapshot_dir: None,
-            prefix_sidecar: false,
-            geo_sidecar: false,
-        }
-    }
-}
-
 impl MarketSource {
     /// Builds the market input data for this source.
     ///
@@ -83,18 +58,8 @@ impl MarketSource {
     /// [`TopologyError`](pan_topology::TopologyError)s for snapshot
     /// problems.
     pub fn build(&self, seed: u64) -> Result<SyntheticInternet> {
-        self.build_with_status(seed).map(|(net, _)| net)
-    }
-
-    /// Like [`build`](Self::build), but also reports where the data came
-    /// from (cache temperature, resolved snapshot, sidecar usage) — the
-    /// longitudinal driver surfaces this in its bench records.
-    pub fn build_with_status(&self, seed: u64) -> Result<(SyntheticInternet, SourceStatus)> {
         match self {
-            MarketSource::Synthetic(config) => {
-                let net = SyntheticInternet::generate(config, seed)?;
-                Ok((net, SourceStatus::synthetic()))
-            }
+            MarketSource::Synthetic(config) => SyntheticInternet::generate(config, seed),
             MarketSource::Caida { dir, snapshot } => build_caida(dir, snapshot.as_deref(), seed),
         }
     }
@@ -146,14 +111,9 @@ fn read_sidecar(path: &Path) -> Result<Option<String>> {
         })
 }
 
-fn build_caida(
-    dir: &Path,
-    snapshot_name: Option<&str>,
-    seed: u64,
-) -> Result<(SyntheticInternet, SourceStatus)> {
+fn build_caida(dir: &Path, snapshot_name: Option<&str>, seed: u64) -> Result<SyntheticInternet> {
     let snap_dir = resolve_snapshot_dir(dir, snapshot_name)?;
-    let (graph, cache) =
-        snapshot::load_relationships(&snap_dir.join(snapshot::RELATIONSHIPS_FILE))?;
+    let graph = snapshot::load_relationships(&snap_dir.join(snapshot::RELATIONSHIPS_FILE))?;
 
     // Tiers fall out of the provider hierarchy: provider-free ASes are the
     // core (real snapshots: the tier-1 clique plus a few oddballs), ASes
@@ -238,12 +198,6 @@ fn build_caida(
         None => None,
     };
 
-    let status = SourceStatus {
-        cache: Some(cache),
-        snapshot_dir: Some(snap_dir),
-        prefix_sidecar: sidecar_prefixes.is_some(),
-        geo_sidecar: sidecar_geo.is_some(),
-    };
     let skeleton = Skeleton {
         graph,
         tiers,
@@ -251,14 +205,13 @@ fn build_caida(
         regions,
         homes,
     };
-    let net = SyntheticInternet::assemble(
+    Ok(SyntheticInternet::assemble(
         skeleton,
         sidecar_prefixes,
         sidecar_geo.as_deref(),
         seed,
         InternetConfig::default().capacity_scale,
-    );
-    Ok((net, status))
+    ))
 }
 
 #[cfg(test)]
@@ -273,9 +226,7 @@ mod tests {
             ..InternetConfig::default()
         };
         let direct = SyntheticInternet::generate(&config, 7).unwrap();
-        let (sourced, status) = MarketSource::Synthetic(config)
-            .build_with_status(7)
-            .unwrap();
+        let sourced = MarketSource::Synthetic(config).build(7).unwrap();
         let links_a: Vec<_> = direct.graph.links().collect();
         let links_b: Vec<_> = sourced.graph.links().collect();
         assert_eq!(links_a, links_b);
@@ -283,7 +234,6 @@ mod tests {
         for asn in direct.graph.ases() {
             assert_eq!(direct.geo.as_location(asn), sourced.geo.as_location(asn));
         }
-        assert_eq!(status, SourceStatus::synthetic());
     }
 
     #[test]

@@ -164,14 +164,6 @@ impl FlowMatrix {
             .collect()
     }
 
-    /// Writes the per-node totals into `out` (cleared first) — the
-    /// allocation-free twin of [`totals`](Self::totals), bitwise
-    /// identical output.
-    pub fn totals_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend((0..self.node_count() as u32).map(|i| self.total(i)));
-    }
-
     /// Total flow through the whole matrix: the sum of the per-node
     /// totals in node order, without materializing them — bitwise
     /// identical to `totals().iter().sum()` (same per-row partial sums,
@@ -216,33 +208,22 @@ impl FlowMatrix {
         Ok(())
     }
 
-    /// Remaps the matrix onto `new_graph`: a graph with the **same nodes
-    /// at the same dense indices** as `old_graph` (the graph this matrix
-    /// was built for) but possibly additional links — the shape produced
-    /// by [`AsGraph::with_added_peering_links`]. Every existing volume
-    /// follows its link to the link's new packed position; entries of new
-    /// links start at zero.
+    /// Opens a zero-volume slot for a new link at each of its two ends,
+    /// given as `(node, packed position)` — the positions
+    /// [`AsGraph::add_peering_link`] returns. Keeps the matrix shaped for
+    /// the graph after the link is added; every other volume keeps its
+    /// value and its link.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`EconError::Topology`] if the graphs disagree on the node
-    /// set or `new_graph` dropped a link of `old_graph`.
-    pub fn remapped(&self, old_graph: &AsGraph, new_graph: &AsGraph) -> Result<FlowMatrix> {
-        check_same_nodes(old_graph, new_graph)?;
-        let mut out = FlowMatrix::zeros(new_graph);
-        for i in 0..old_graph.node_count() as u32 {
-            for (old_pos, &j) in old_graph.neighbor_indices(i).iter().enumerate() {
-                let new_pos = new_graph.neighbor_position(i, j).ok_or_else(|| {
-                    EconError::Topology(pan_topology::TopologyError::UnknownLink {
-                        a: old_graph.asn_at(i),
-                        b: old_graph.asn_at(j),
-                    })
-                })?;
-                out.set(i, new_pos, self.flow(i, old_pos));
-            }
-            out.set_end_host(i, self.end_host(i));
+    /// Panics if a position lies past the end of its node's neighbor
+    /// entries.
+    pub fn insert_link(&mut self, ends: [(u32, usize); 2]) {
+        self.values.reserve_exact(ends.len());
+        for (node, pos) in ends {
+            let at = insert_at(&mut self.offsets, node, pos, 1);
+            self.values.insert(at, 0.0);
         }
-        Ok(out)
     }
 
     /// Deserialization hook: checks that the matrix is internally
@@ -324,22 +305,21 @@ fn validate_offsets(
     Ok(())
 }
 
-/// Both remap targets require the node sets (and their dense indices) to
-/// be identical — only links may differ.
-fn check_same_nodes(old_graph: &AsGraph, new_graph: &AsGraph) -> Result<()> {
-    if old_graph.node_count() != new_graph.node_count()
-        || (0..old_graph.node_count() as u32).any(|i| old_graph.asn_at(i) != new_graph.asn_at(i))
-    {
-        return Err(EconError::Topology(
-            pan_topology::TopologyError::UnknownAs {
-                asn: new_graph
-                    .ases()
-                    .find(|&asn| !old_graph.contains(asn))
-                    .unwrap_or_else(|| old_graph.asn_at(0)),
-            },
-        ));
+/// The absolute index at which a slot inserted at packed position `pos`
+/// of row `node` lands, with every later row shifted by one; rows carry
+/// `extra_slots` trailing slots past their neighbor entries.
+fn insert_at(offsets: &mut [u32], node: u32, pos: usize, extra_slots: usize) -> usize {
+    let node = node as usize;
+    let row = offsets[node] as usize;
+    let degree = offsets[node + 1] as usize - row - extra_slots;
+    assert!(
+        pos <= degree,
+        "insert position {pos} out of range for node {node} (degree {degree})"
+    );
+    for offset in &mut offsets[node + 1..] {
+        *offset += 1;
     }
-    Ok(())
+    row + pos
 }
 
 /// The pricing attached to one packed adjacency entry of an AS: the
@@ -547,78 +527,31 @@ impl DenseEconomics {
         model
     }
 
-    /// Remaps the tables onto `new_graph` (same nodes and indices as
-    /// `old_graph`, possibly more links — see [`FlowMatrix::remapped`]).
-    /// Existing entries follow their link; entries of new links must be
-    /// **peering** links and become settlement-free
-    /// (`sign == 0`, [`PricingFunction::free`]) — exactly what adopting a
-    /// prospective mutuality agreement creates.
+    /// Inserts the settlement-free entry of a new peering link
+    /// ([`PricingFunction::free`], `sign == 0`) at each of its two ends,
+    /// given as `(node, packed position)` — the positions
+    /// [`AsGraph::add_peering_link`] returns. That is what adopting a
+    /// prospective mutuality agreement creates; every other entry keeps
+    /// its price and its link.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`EconError::Topology`] if the node sets differ, a link of
-    /// `old_graph` is missing from `new_graph`, or a new link is not a
-    /// peering link (transit links need a priced contract, which a remap
-    /// cannot invent).
-    pub fn remapped(&self, old_graph: &AsGraph, new_graph: &AsGraph) -> Result<DenseEconomics> {
-        check_same_nodes(old_graph, new_graph)?;
-        let n = new_graph.node_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        let mut entries = Vec::new();
-        for i in 0..n as u32 {
-            let (p_end, e_end) = new_graph.class_boundaries(i);
-            let mut carried = 0usize;
-            for (pos, &j) in new_graph.neighbor_indices(i).iter().enumerate() {
-                let entry = match old_graph.neighbor_position(i, j) {
-                    Some(old_pos) => {
-                        carried += 1;
-                        self.entry(i, old_pos)
-                    }
-                    None if pos >= p_end && pos < e_end => PricedEntry {
-                        price: PricingFunction::free(),
-                        sign: 0.0,
-                    },
-                    None => {
-                        return Err(EconError::Topology(
-                            pan_topology::TopologyError::UnknownLink {
-                                a: new_graph.asn_at(i),
-                                b: new_graph.asn_at(j),
-                            },
-                        ));
-                    }
-                };
-                entries.push(entry);
-            }
-            offsets.push(entries.len() as u32);
-            // Every old link must have carried its entry into the new
-            // row — a dropped link is an error even when additions keep
-            // the row length unchanged.
-            if carried < old_graph.degree_of_index(i) {
-                let missing = old_graph
-                    .neighbor_indices(i)
-                    .iter()
-                    .find(|&&j| new_graph.neighbor_position(i, j).is_none())
-                    .copied()
-                    .unwrap_or(i);
-                return Err(EconError::Topology(
-                    pan_topology::TopologyError::UnknownLink {
-                        a: old_graph.asn_at(i),
-                        b: old_graph.asn_at(missing),
-                    },
-                ));
-            }
-        }
-        let mut out = DenseEconomics {
-            offsets,
-            entries,
-            end_host_price: self.end_host_price.clone(),
-            internal_cost: self.internal_cost.clone(),
-            signed_rate: Vec::new(),
-            nonlinear: Vec::new(),
+    /// Panics if a position lies past the end of its node's row.
+    pub fn insert_peering_link(&mut self, ends: [(u32, usize); 2]) {
+        let entry = PricedEntry {
+            price: PricingFunction::free(),
+            sign: 0.0,
         };
-        out.rebuild_lanes();
-        Ok(out)
+        let (rate, nonlinear) = lane_of(&entry);
+        self.entries.reserve_exact(ends.len());
+        self.signed_rate.reserve_exact(ends.len());
+        self.nonlinear.reserve_exact(ends.len());
+        for (node, pos) in ends {
+            let at = insert_at(&mut self.offsets, node, pos, 0);
+            self.entries.insert(at, entry);
+            self.signed_rate.insert(at, rate);
+            self.nonlinear.insert(at, nonlinear);
+        }
     }
 
     /// Scales the price of the packed adjacency entry at `pos` of `node`
@@ -985,9 +918,13 @@ mod tests {
         let flows = FlowMatrix::degree_gravity(&g, 1.0);
         // C–E is not a link of fig1; add it as adopted peering.
         let (c, e) = (g.index_of(asn('C')).unwrap(), g.index_of(asn('E')).unwrap());
-        let extended = g.with_added_peering_links(&[(c, e)]).unwrap();
-        let flows2 = flows.remapped(&g, &extended).unwrap();
-        let dense2 = dense.remapped(&g, &extended).unwrap();
+        let mut extended = g.clone();
+        let (pos_ce, pos_ec) = extended.add_peering_link(c, e).unwrap();
+        let (mut flows2, mut dense2) = (flows.clone(), dense.clone());
+        flows2.insert_link([(c, pos_ce), (e, pos_ec)]);
+        dense2.insert_peering_link([(c, pos_ce), (e, pos_ec)]);
+        flows2.validate_shape(&extended).unwrap();
+        dense2.validate_shape(&extended).unwrap();
         assert_eq!(flows2.node_count(), flows.node_count());
         // Every old volume and priced entry followed its link.
         for i in 0..g.node_count() as u32 {
@@ -995,55 +932,61 @@ mod tests {
                 let new_pos = extended.neighbor_position(i, j).unwrap();
                 assert_eq!(flows2.flow(i, new_pos), flows.flow(i, old_pos));
                 assert_eq!(dense2.entry(i, new_pos), dense.entry(i, old_pos));
+                assert_eq!(
+                    dense2.signed_rate_row(i)[new_pos].to_bits(),
+                    dense.signed_rate_row(i)[old_pos].to_bits()
+                );
+                assert_eq!(
+                    dense2.nonlinear_row(i)[new_pos],
+                    dense.nonlinear_row(i)[old_pos]
+                );
             }
             assert_eq!(flows2.end_host(i), flows.end_host(i));
         }
-        // The new link starts settlement-free with zero flow on both ends.
-        let pos_ce = extended.neighbor_position(c, e).unwrap();
-        let pos_ec = extended.neighbor_position(e, c).unwrap();
-        assert_eq!(flows2.flow(c, pos_ce), 0.0);
-        assert_eq!(flows2.flow(e, pos_ec), 0.0);
-        assert_eq!(dense2.entry(c, pos_ce).sign, 0.0);
-        assert_eq!(dense2.entry(e, pos_ec).sign, 0.0);
-        // Utilities are invariant under the remap (free zero-flow links
-        // contribute nothing).
+        // The new link starts settlement-free with zero flow on both ends
+        // and a +0.0, linear lane entry.
+        for (node, pos) in [(c, pos_ce), (e, pos_ec)] {
+            assert_eq!(flows2.flow(node, pos), 0.0);
+            assert_eq!(
+                dense2.entry(node, pos),
+                PricedEntry {
+                    price: PricingFunction::free(),
+                    sign: 0.0
+                }
+            );
+            assert_eq!(
+                dense2.signed_rate_row(node)[pos].to_bits(),
+                0.0f64.to_bits()
+            );
+            assert!(!dense2.nonlinear_row(node)[pos]);
+        }
+        // Utilities are unchanged (free zero-flow links contribute
+        // nothing).
         for i in 0..g.node_count() as u32 {
             let before = dense.utility(&flows, i).unwrap();
             let after = dense2.utility(&flows2, i).unwrap();
             assert!((before - after).abs() < 1e-12, "AS {}", g.asn_at(i));
         }
+        // The tables equal those built for the extended graph from
+        // scratch, lanes included.
+        let rebuilt =
+            DenseEconomics::from_model(&BusinessModel::new(extended.clone(), m.book().clone()));
+        assert_eq!(dense2.entries, rebuilt.entries);
+        assert_eq!(dense2.offsets, rebuilt.offsets);
+        let bits = |lane: &[f64]| lane.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&dense2.signed_rate), bits(&rebuilt.signed_rate));
+        assert_eq!(dense2.nonlinear, rebuilt.nonlinear);
+        assert_eq!(flows2.offsets, FlowMatrix::zeros(&extended).offsets);
     }
 
     #[test]
-    fn remap_detects_dropped_links_even_at_unchanged_degrees() {
-        use pan_topology::{AsGraphBuilder, Relationship};
-        // old: 1→2 and 3→4 transit. new: same nodes (same indices), the
-        // transit links dropped, 1–3 and 2–4 peering added — every row
-        // keeps its degree, so only per-link tracking can catch it.
-        let mut b = AsGraphBuilder::new();
-        b.add_link(Asn::new(1), Asn::new(2), Relationship::ProviderToCustomer)
-            .unwrap();
-        b.add_link(Asn::new(3), Asn::new(4), Relationship::ProviderToCustomer)
-            .unwrap();
-        let old = b.build().unwrap();
-        let mut b = AsGraphBuilder::new();
-        for n in 1..=4 {
-            b.add_as(Asn::new(n));
-        }
-        b.add_link(Asn::new(1), Asn::new(3), Relationship::PeerToPeer)
-            .unwrap();
-        b.add_link(Asn::new(2), Asn::new(4), Relationship::PeerToPeer)
-            .unwrap();
-        let new = b.build().unwrap();
-        let dense = DenseEconomics::build(
-            &old,
-            |_, _| PricingFunction::per_usage(2.0).unwrap(),
-            |_| PricingFunction::free(),
-            |_| CostFunction::linear(0.1).unwrap(),
-        );
-        let flows = FlowMatrix::degree_gravity(&old, 1.0);
-        assert!(dense.remapped(&old, &new).is_err(), "dropped link missed");
-        assert!(flows.remapped(&old, &new).is_err(), "dropped link missed");
+    #[should_panic(expected = "out of range")]
+    fn insert_past_the_row_panics() {
+        let g = fig1();
+        let mut flows = FlowMatrix::degree_gravity(&g, 1.0);
+        let d = g.index_of(asn('D')).unwrap();
+        // D's degree is 4; position 5 would land in the next row.
+        flows.insert_link([(d, g.degree_of_index(d) + 1), (d, 0)]);
     }
 
     #[test]
@@ -1056,16 +999,6 @@ mod tests {
         dense
             .scale_entry_price(d, g.degree_of_index(d), 1.1)
             .unwrap();
-    }
-
-    #[test]
-    fn remap_rejects_mismatched_node_sets() {
-        let g = fig1();
-        let other = pan_topology::fixtures::diamond();
-        let dense = DenseEconomics::from_model(&model());
-        let flows = FlowMatrix::degree_gravity(&g, 1.0);
-        assert!(flows.remapped(&g, &other).is_err());
-        assert!(dense.remapped(&g, &other).is_err());
     }
 
     #[test]
@@ -1152,11 +1085,9 @@ mod tests {
         let g = fig1();
         let flows = FlowMatrix::degree_gravity(&g, 0.37);
         let allocated = flows.totals();
-        let mut reused = vec![f64::NAN; 3];
-        flows.totals_into(&mut reused);
-        assert_eq!(allocated.len(), reused.len());
-        for (a, b) in allocated.iter().zip(&reused) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        assert_eq!(allocated.len(), g.node_count());
+        for (i, total) in allocated.iter().enumerate() {
+            assert_eq!(total.to_bits(), flows.total(i as u32).to_bits());
         }
         let grand: f64 = allocated.iter().sum();
         assert_eq!(grand.to_bits(), flows.grand_total().to_bits());

@@ -946,7 +946,7 @@ fn histogram_fields(snapshot: &pan_telemetry::HistogramSnapshot) -> Value {
     ])
 }
 
-/// `metrics`: the live telemetry registry — every counter, gauge, and
+/// `metrics`: the live telemetry registry — every counter and
 /// histogram the engine layers recorded since startup — plus per-market
 /// advise-cache effectiveness. Values are observations, not market
 /// state, so the reply is the one verb whose payload is *not*
@@ -959,11 +959,6 @@ fn handle_metrics(
     let snapshot = pan_telemetry::global().snapshot();
     let counters: Vec<(String, Value)> = snapshot
         .counters
-        .iter()
-        .map(|(name, value)| (name.clone(), to_value(value)))
-        .collect();
-    let gauges: Vec<(String, Value)> = snapshot
-        .gauges
         .iter()
         .map(|(name, value)| (name.clone(), to_value(value)))
         .collect();
@@ -1003,7 +998,6 @@ fn handle_metrics(
             ),
             ("enabled", Value::Bool(pan_telemetry::is_enabled())),
             ("counters", Value::Map(counters)),
-            ("gauges", Value::Map(gauges)),
             ("histograms", Value::Map(histograms)),
             ("markets", Value::Seq(markets)),
         ],

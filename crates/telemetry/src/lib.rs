@@ -1,17 +1,16 @@
-//! Engine-wide metrics for the pan-interconnect stack: atomic counters
-//! and gauges, fixed-bucket log2 latency histograms with nearest-rank
-//! percentile extraction, RAII span timers, and a process-wide
-//! [`Registry`] that snapshots to a JSON document and a
-//! Prometheus-style text exposition.
+//! Engine-wide metrics for the pan-interconnect stack: atomic counters,
+//! fixed-bucket log2 latency histograms with nearest-rank percentile
+//! extraction, RAII span timers, and a process-wide [`Registry`] that
+//! snapshots to a JSON document.
 //!
 //! # Design constraints
 //!
 //! - **Std-only.** No dependencies, not even the vendored stand-ins —
-//!   the JSON and Prometheus expositions are hand-rolled so every crate
+//!   the JSON exposition is hand-rolled so every crate
 //!   in the hot path can depend on this one without widening its own
 //!   dependency cone.
 //! - **Zero-cost when disabled.** The process-wide entry points
-//!   ([`counter`], [`gauge`], [`histogram`]) hand out *noop* handles
+//!   ([`counter`], [`histogram`]) hand out *noop* handles
 //!   until [`enable`] is called: recording through a noop handle is one
 //!   branch on an `Option` that is always `None`, and [`Histogram::start`]
 //!   never calls [`Instant::now`] on a noop handle. Instrumentation
@@ -26,7 +25,7 @@
 //! # Registry model
 //!
 //! A [`Registry`] is a named map from dotted metric names (e.g.
-//! `core.phase.evaluate_ns`) to one of three metric kinds. Handles are
+//! `core.phase.evaluate_ns`) to one of two metric kinds. Handles are
 //! [`Arc`]-backed and clonable; acquiring the same name twice yields
 //! handles onto the same underlying atomics. The `_ns` suffix marks
 //! span histograms recording nanoseconds. A standalone registry can be
@@ -51,7 +50,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -83,11 +82,6 @@ fn bucket_upper_bound(index: usize) -> u64 {
 #[derive(Debug, Default)]
 struct CounterCore {
     value: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct GaugeCore {
-    value: AtomicI64,
 }
 
 #[derive(Debug)]
@@ -146,38 +140,6 @@ impl Counter {
     }
 }
 
-/// Last-value gauge handle (signed, so deltas can go negative).
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Option<Arc<GaugeCore>>);
-
-impl Gauge {
-    /// A handle that records nothing.
-    #[must_use]
-    pub fn noop() -> Gauge {
-        Gauge(None)
-    }
-
-    /// `true` when this handle feeds a live registry.
-    #[must_use]
-    pub fn is_live(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Sets the gauge to `value`.
-    pub fn set(&self, value: i64) {
-        if let Some(core) = &self.0 {
-            core.value.store(value, Ordering::Relaxed);
-        }
-    }
-
-    /// Adds `delta` (may be negative) to the gauge.
-    pub fn add(&self, delta: i64) {
-        if let Some(core) = &self.0 {
-            core.value.fetch_add(delta, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Fixed-bucket log2 histogram handle. By convention, names ending in
 /// `_ns` record nanosecond durations (usually via [`Histogram::start`]).
 #[derive(Debug, Clone, Default)]
@@ -221,25 +183,6 @@ impl Histogram {
                 .map(|core| (Instant::now(), Arc::clone(core))),
         )
     }
-
-    /// Folds every observation of `other` into this histogram
-    /// (bucket-wise add). Merging a handle into itself, or through a
-    /// noop on either side, is a no-op.
-    pub fn merge_from(&self, other: &Histogram) {
-        let (Some(dst), Some(src)) = (&self.0, &other.0) else {
-            return;
-        };
-        if Arc::ptr_eq(dst, src) {
-            return;
-        }
-        for (into, from) in dst.buckets.iter().zip(&src.buckets) {
-            into.fetch_add(from.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        dst.count
-            .fetch_add(src.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        dst.sum
-            .fetch_add(src.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
 }
 
 /// RAII span timer from [`Histogram::start`]: records the elapsed
@@ -266,11 +209,10 @@ impl Drop for Span {
 #[derive(Debug)]
 enum Metric {
     Counter(Arc<CounterCore>),
-    Gauge(Arc<GaugeCore>),
     Histogram(Arc<HistogramCore>),
 }
 
-/// Named-metric registry: dotted names mapped to counters, gauges, and
+/// Named-metric registry: dotted names mapped to counters and
 /// histograms. Handle acquisition takes a mutex (acquire once per
 /// round/request, not per item); recording through a handle is
 /// lock-free.
@@ -303,18 +245,6 @@ impl Registry {
         }
     }
 
-    /// The live gauge named `name`, registered on first use.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut metrics = self.metrics.lock().expect("telemetry registry poisoned");
-        let metric = metrics
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Gauge(Arc::new(GaugeCore::default())));
-        match metric {
-            Metric::Gauge(core) => Gauge(Some(Arc::clone(core))),
-            _ => Gauge::noop(),
-        }
-    }
-
     /// The live histogram named `name`, registered on first use.
     pub fn histogram(&self, name: &str) -> Histogram {
         let mut metrics = self.metrics.lock().expect("telemetry registry poisoned");
@@ -335,9 +265,6 @@ impl Registry {
             match metric {
                 Metric::Counter(core) => snapshot
                     .counters
-                    .push((name.clone(), core.value.load(Ordering::Relaxed))),
-                Metric::Gauge(core) => snapshot
-                    .gauges
                     .push((name.clone(), core.value.load(Ordering::Relaxed))),
                 Metric::Histogram(core) => {
                     let mut buckets = Vec::new();
@@ -430,14 +357,11 @@ impl HistogramSnapshot {
 
 /// Point-in-time dump of a [`Registry`], each section sorted by metric
 /// name. Renders to JSON ([`RegistrySnapshot::to_json`]) for
-/// `--metrics-out` files and the serving layer's `metrics` verb, and to
-/// a Prometheus-style exposition ([`RegistrySnapshot::to_prometheus`]).
+/// `--metrics-out` files and the serving layer's `metrics` verb.
 #[derive(Debug, Clone, Default)]
 pub struct RegistrySnapshot {
     /// Counter values by name.
     pub counters: Vec<(String, u64)>,
-    /// Gauge values by name.
-    pub gauges: Vec<(String, i64)>,
     /// Histogram snapshots by name.
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
@@ -459,7 +383,7 @@ fn push_json_string(out: &mut String, text: &str) {
 
 impl RegistrySnapshot {
     /// Renders the snapshot as one JSON object:
-    /// `{"counters":{...},"gauges":{...},"histograms":{"name":
+    /// `{"counters":{...},"histograms":{"name":
     /// {"count":..,"sum":..,"p50":..,"p90":..,"p99":..,"buckets":
     /// [[bound,count],..]},..}}`. Hand-rolled (the crate is
     /// dependency-free) but escaped and well-formed.
@@ -467,14 +391,6 @@ impl RegistrySnapshot {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");
         for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_string(&mut out, name);
-            let _ = write!(out, ":{value}");
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -507,56 +423,6 @@ impl RegistrySnapshot {
         out.push_str("}}");
         out
     }
-
-    /// Renders the snapshot as a Prometheus-style text exposition:
-    /// `# TYPE` lines, `_bucket{le="..."}` cumulative series (the top
-    /// bucket as `le="+Inf"`), `_sum`, and `_count`. Metric names are
-    /// sanitized to `[a-zA-Z0-9_:]`.
-    #[must_use]
-    pub fn to_prometheus(&self) -> String {
-        fn sanitize(name: &str) -> String {
-            let mut out = String::with_capacity(name.len());
-            for (i, ch) in name.chars().enumerate() {
-                if ch.is_ascii_alphanumeric() || ch == '_' || ch == ':' {
-                    if i == 0 && ch.is_ascii_digit() {
-                        out.push('_');
-                    }
-                    out.push(ch);
-                } else {
-                    out.push('_');
-                }
-            }
-            out
-        }
-
-        let mut out = String::new();
-        for (name, value) in &self.counters {
-            let name = sanitize(name);
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {value}");
-        }
-        for (name, value) in &self.gauges {
-            let name = sanitize(name);
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {value}");
-        }
-        for (name, hist) in &self.histograms {
-            let name = sanitize(name);
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            let mut cumulative = 0u64;
-            for &(bound, count) in &hist.buckets {
-                cumulative = cumulative.saturating_add(count);
-                if bound == u64::MAX {
-                    continue; // folded into +Inf below
-                }
-                let _ = writeln!(out, "{name}_bucket{{le=\"{bound}\"}} {cumulative}");
-            }
-            let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", hist.count);
-            let _ = writeln!(out, "{name}_sum {}", hist.sum);
-            let _ = writeln!(out, "{name}_count {}", hist.count);
-        }
-        out
-    }
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -564,7 +430,7 @@ static GLOBAL: OnceLock<Registry> = OnceLock::new();
 
 /// The process-wide registry. Handles acquired directly from it are
 /// always live; production instrumentation goes through the gated
-/// [`counter`]/[`gauge`]/[`histogram`] free functions instead so a
+/// [`counter`]/[`histogram`] free functions instead so a
 /// process that never calls [`enable`] pays nothing.
 pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
@@ -592,16 +458,6 @@ pub fn counter(name: &str) -> Counter {
         global().counter(name)
     } else {
         Counter::noop()
-    }
-}
-
-/// Process-wide gauge: live after [`enable`], noop before.
-#[must_use]
-pub fn gauge(name: &str) -> Gauge {
-    if is_enabled() {
-        global().gauge(name)
-    } else {
-        Gauge::noop()
     }
 }
 
@@ -684,42 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_is_bucketwise_and_self_merge_safe() {
-        let registry = Registry::new();
-        let a = registry.histogram("merge.a");
-        let b = registry.histogram("merge.b");
-        a.record(1);
-        a.record(100);
-        b.record(1);
-        b.record(u64::MAX);
-        a.merge_from(&b);
-        let snapshot = registry.snapshot();
-        let merged = &snapshot.histograms[0].1;
-        assert_eq!(merged.count, 4);
-        assert_eq!(
-            merged.sum,
-            1u64.wrapping_add(100)
-                .wrapping_add(1)
-                .wrapping_add(u64::MAX)
-        );
-        assert_eq!(
-            merged.buckets,
-            vec![(1, 2), (127, 1), (u64::MAX, 1)],
-            "bucket-wise add across both sources"
-        );
-
-        // Merging a handle into itself must not double-count.
-        let a2 = registry.histogram("merge.a");
-        a.merge_from(&a2);
-        assert_eq!(registry.snapshot().histograms[0].1.count, 4);
-
-        // Noop on either side is inert.
-        a.merge_from(&Histogram::noop());
-        Histogram::noop().merge_from(&a);
-        assert_eq!(registry.snapshot().histograms[0].1.count, 4);
-    }
-
-    #[test]
     fn counters_gauges_and_kind_mismatches() {
         let registry = Registry::new();
         let c = registry.counter("hits");
@@ -727,19 +547,20 @@ mod tests {
         c.add(9);
         // A second handle onto the same name shares the atomics.
         registry.counter("hits").inc();
-        let g = registry.gauge("depth");
-        g.set(7);
-        g.add(-3);
         // Same name, different kind: noop handle, no panic.
-        let clash = registry.gauge("hits");
+        let clash = registry.histogram("hits");
         assert!(!clash.is_live());
-        clash.set(1_000_000);
-        let wrong_hist = registry.histogram("depth");
-        assert!(!wrong_hist.is_live());
+        clash.record(1_000_000);
+        registry.histogram("depth_ns").record(4);
+        let wrong_counter = registry.counter("depth_ns");
+        assert!(!wrong_counter.is_live());
+        wrong_counter.add(7);
 
         let snapshot = registry.snapshot();
         assert_eq!(snapshot.counters, vec![("hits".to_owned(), 11)]);
-        assert_eq!(snapshot.gauges, vec![("depth".to_owned(), 4)]);
+        assert_eq!(snapshot.histograms.len(), 1);
+        assert_eq!(snapshot.histograms[0].0, "depth_ns");
+        assert_eq!(snapshot.histograms[0].1.sum, 4);
     }
 
     #[test]
@@ -764,7 +585,6 @@ mod tests {
     fn json_and_prometheus_expositions_are_well_formed() {
         let registry = Registry::new();
         registry.counter("a.count").add(3);
-        registry.gauge("b.gauge").set(-2);
         let h = registry.histogram("c.lat_ns");
         h.record(5);
         h.record(u64::MAX);
@@ -772,8 +592,7 @@ mod tests {
 
         let json = snapshot.to_json();
         assert!(json.starts_with("{\"counters\":{"), "{json}");
-        assert!(json.contains("\"a.count\":3"), "{json}");
-        assert!(json.contains("\"b.gauge\":-2"), "{json}");
+        assert!(json.contains("\"a.count\":3},\"histograms\":{"), "{json}");
         assert!(
             json.contains("\"c.lat_ns\":{\"count\":2,\"sum\":"),
             "{json}"
@@ -784,19 +603,6 @@ mod tests {
         let mut escaped = String::new();
         push_json_string(&mut escaped, "a\"b\\c\n");
         assert_eq!(escaped, "\"a\\\"b\\\\c\\u000a\"");
-
-        let prom = snapshot.to_prometheus();
-        assert!(
-            prom.contains("# TYPE a_count counter\na_count 3\n"),
-            "{prom}"
-        );
-        assert!(
-            prom.contains("# TYPE b_gauge gauge\nb_gauge -2\n"),
-            "{prom}"
-        );
-        assert!(prom.contains("c_lat_ns_bucket{le=\"7\"} 1\n"), "{prom}");
-        assert!(prom.contains("c_lat_ns_bucket{le=\"+Inf\"} 2\n"), "{prom}");
-        assert!(prom.contains("c_lat_ns_count 2\n"), "{prom}");
     }
 
     #[test]
@@ -821,6 +627,5 @@ mod tests {
             .map(|&(_, v)| v);
         assert_eq!(value, Some(2));
         assert!(histogram("global.hist_ns").is_live());
-        assert!(gauge("global.gauge").is_live());
     }
 }

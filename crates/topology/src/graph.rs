@@ -220,6 +220,32 @@ impl CsrAdjacency {
         })
     }
 
+    /// Inserts the two entries of peering link `link` between `a` and
+    /// `b` at their ASN-sorted places in the peer segments, and returns
+    /// their row-relative positions (in the row of `a`, then of `b`).
+    /// Every entry behind an insertion point moves, so the mirror lane
+    /// is dropped and rebuilt on its next use.
+    fn insert_peering(&mut self, asns: &[Asn], a: u32, b: u32, link: u32) -> (usize, usize) {
+        self.neighbors.reserve_exact(2);
+        self.link_ids.reserve_exact(2);
+        let mut insert = |owner: u32, neighbor: u32| {
+            let seg = owner as usize * CLASSES + CLASS_PEER;
+            let range = self.offsets[seg] as usize..self.offsets[seg + 1] as usize;
+            let key = asns[neighbor as usize];
+            let at =
+                range.start + self.neighbors[range].partition_point(|&j| asns[j as usize] < key);
+            self.neighbors.insert(at, neighbor);
+            self.link_ids.insert(at, link);
+            for offset in &mut self.offsets[seg + 1..] {
+                *offset += 1;
+            }
+            at - self.offsets[owner as usize * CLASSES] as usize
+        };
+        let positions = (insert(a, b), insert(b, a));
+        self.mirrors = OnceLock::new();
+        positions
+    }
+
     #[inline]
     fn segment(&self, node: u32, class: usize) -> std::ops::Range<usize> {
         let base = node as usize * CLASSES + class;
@@ -366,7 +392,7 @@ impl CsrAdjacency {
     }
 }
 
-/// An immutable AS-level topology: the paper's mixed graph `G = (A, L↔, L↑)`.
+/// An AS-level topology: the paper's mixed graph `G = (A, L↔, L↑)`.
 ///
 /// The graph stores, for every AS `X`, the neighbor decomposition
 /// `π(X)` / `ε(X)` / `γ(X)` as sorted index slices, which makes the
@@ -374,6 +400,9 @@ impl CsrAdjacency {
 ///
 /// Graphs are constructed through [`AsGraphBuilder`](crate::AsGraphBuilder)
 /// or parsed from CAIDA serial-2 files via [`caida::parse`](crate::caida::parse).
+/// The node set is fixed from then on; the only change a graph takes is
+/// a new peering link ([`add_peering_link`](Self::add_peering_link)),
+/// which keeps every node index and [`LinkId`].
 ///
 /// Two access levels are offered:
 ///
@@ -385,9 +414,10 @@ impl CsrAdjacency {
 ///   `0..node_count()` and stable for the lifetime of the graph.
 ///
 /// Adjacency is stored in compressed-sparse-row form: one packed
-/// neighbor array plus a parallel link-id array, built once at
-/// construction. Neighbor iteration and link lookups in the inner loops
-/// of the evaluation therefore touch contiguous memory and never hash.
+/// neighbor array plus a parallel link-id array, built at construction
+/// and grown in place by a new peering link. Neighbor iteration and link
+/// lookups in the inner loops of the evaluation therefore touch
+/// contiguous memory and never hash.
 ///
 /// The CSR tables are derivable from the serialized `asns` + `links`
 /// and are **not** part of the wire format: after deserializing, call
@@ -719,65 +749,51 @@ impl AsGraph {
             .count()
     }
 
-    /// Returns a copy of the graph with additional **peering** links
-    /// between the given dense node-index pairs — the topology side of
-    /// adopting a prospective (k-hop) mutuality agreement, which first
-    /// has to establish settlement-free peering between the parties.
+    /// Adds a **peering** link between two dense node indices in place —
+    /// the topology side of adopting a prospective (k-hop) mutuality
+    /// agreement, which first has to establish settlement-free peering
+    /// between the parties.
     ///
-    /// The node set and every dense node index are preserved, so
-    /// CSR-aligned per-node tables built against `self` can be remapped
-    /// entry-wise onto the returned graph. Existing [`LinkId`]s are
-    /// preserved too; the new links take the next identifiers in order.
+    /// Every node index and existing [`LinkId`] is kept; the new link
+    /// takes the next identifier, with its endpoints in argument order.
+    /// Its two adjacency entries land at their ASN-sorted places in the
+    /// parties' peer segments, so the CSR equals the one
+    /// [`rebuild_indices`](Self::rebuild_indices) builds from the same
+    /// links. Returns the new entry's position in the packed row of `a`
+    /// and in that of `b` ([`neighbor_indices`](Self::neighbor_indices)
+    /// order): the slots that CSR-aligned per-entry tables insert.
     ///
     /// # Errors
     ///
-    /// - [`TopologyError::SelfLoop`] if a pair connects an AS to itself.
-    /// - [`TopologyError::ConflictingLink`] if a pair (or a duplicate
-    ///   within `pairs`) is already adjacent — peering cannot be stacked
-    ///   on an existing relationship.
+    /// - [`TopologyError::SelfLoop`] if `a == b`.
+    /// - [`TopologyError::ConflictingLink`] if the two are already
+    ///   adjacent — peering cannot be stacked on an existing relationship.
     ///
     /// # Panics
     ///
     /// Panics if a node index is out of bounds.
-    pub fn with_added_peering_links(&self, pairs: &[(u32, u32)]) -> Result<AsGraph> {
-        let mut links = self.links.clone();
-        let mut added: Vec<(u32, u32)> = Vec::with_capacity(pairs.len());
-        for &(a, b) in pairs {
-            if a == b {
-                return Err(TopologyError::SelfLoop {
-                    asn: self.asn_at(a),
-                });
-            }
-            let key = (a.min(b), a.max(b));
-            if let Some(id) = self.link_id_between_indices(a, b) {
-                return Err(TopologyError::ConflictingLink {
-                    a: self.asn_at(a),
-                    b: self.asn_at(b),
-                    existing: self.links[id.index()].relationship,
-                    new: Relationship::PeerToPeer,
-                });
-            }
-            if added.contains(&key) {
-                return Err(TopologyError::ConflictingLink {
-                    a: self.asn_at(a),
-                    b: self.asn_at(b),
-                    existing: Relationship::PeerToPeer,
-                    new: Relationship::PeerToPeer,
-                });
-            }
-            added.push(key);
-            links.push(LinkRecord {
-                a,
-                b,
-                relationship: Relationship::PeerToPeer,
+    pub fn add_peering_link(&mut self, a: u32, b: u32) -> Result<(usize, usize)> {
+        if a == b {
+            return Err(TopologyError::SelfLoop {
+                asn: self.asn_at(a),
             });
         }
-        Ok(AsGraph {
-            adjacency: CsrAdjacency::build(self.asns.len(), &links, &self.asns),
-            asns: self.asns.clone(),
-            index: self.index.clone(),
-            links,
-        })
+        if let Some(id) = self.link_id_between_indices(a, b) {
+            return Err(TopologyError::ConflictingLink {
+                a: self.asn_at(a),
+                b: self.asn_at(b),
+                existing: self.links[id.index()].relationship,
+                new: Relationship::PeerToPeer,
+            });
+        }
+        let id = self.links.len() as u32;
+        self.links.reserve_exact(1);
+        self.links.push(LinkRecord {
+            a,
+            b,
+            relationship: Relationship::PeerToPeer,
+        });
+        Ok(self.adjacency.insert_peering(&self.asns, a, b, id))
     }
 
     /// Integrity check for graphs read from an untrusted wire format
@@ -1138,7 +1154,8 @@ mod tests {
         // C and E are not adjacent in fig1 (peers-of-peers through D).
         let (c, e) = (g.index_of(a('C')).unwrap(), g.index_of(a('E')).unwrap());
         assert_eq!(g.neighbor_kind_by_index(c, e), None);
-        let extended = g.with_added_peering_links(&[(c, e)]).unwrap();
+        let mut extended = g.clone();
+        let (pos_c, pos_e) = extended.add_peering_link(c, e).unwrap();
         assert_eq!(extended.node_count(), g.node_count());
         assert_eq!(extended.link_count(), g.link_count() + 1);
         assert_eq!(extended.peering_link_count(), g.peering_link_count() + 1);
@@ -1146,7 +1163,10 @@ mod tests {
             extended.neighbor_kind_by_index(c, e),
             Some(NeighborKind::Peer)
         );
-        // Indices and existing links are untouched.
+        assert_eq!(extended.neighbor_position(c, e), Some(pos_c));
+        assert_eq!(extended.neighbor_position(e, c), Some(pos_e));
+        // Indices and existing links are untouched; the new link takes
+        // the next identifier, endpoints in argument order.
         for asn in g.ases() {
             assert_eq!(
                 g.index_of(asn).unwrap(),
@@ -1157,11 +1177,28 @@ mod tests {
         for link in g.links() {
             assert_eq!(extended.link(link.id), link);
         }
-        // Rejections: self-loops, existing links, duplicates in the batch.
-        assert!(g.with_added_peering_links(&[(c, c)]).is_err());
+        let added = extended.link(LinkId(g.link_count() as u32));
+        assert_eq!((added.a, added.b), (a('C'), a('E')));
+        // Rejections: self-loops, existing links, the same pair again.
+        let mut probe = g.clone();
+        assert!(matches!(
+            probe.add_peering_link(c, c),
+            Err(TopologyError::SelfLoop { .. })
+        ));
         let (d, h) = (g.index_of(a('D')).unwrap(), g.index_of(a('H')).unwrap());
-        assert!(g.with_added_peering_links(&[(d, h)]).is_err());
-        assert!(g.with_added_peering_links(&[(c, e), (e, c)]).is_err());
+        assert!(matches!(
+            probe.add_peering_link(d, h),
+            Err(TopologyError::ConflictingLink { .. })
+        ));
+        assert_eq!(
+            probe.link_count(),
+            g.link_count(),
+            "a rejection adds nothing"
+        );
+        assert!(matches!(
+            extended.add_peering_link(e, c),
+            Err(TopologyError::ConflictingLink { .. })
+        ));
     }
 
     /// Every entry's mirror, as [`AsGraph::mirror_position`] reads it
@@ -1283,19 +1320,23 @@ mod tests {
                 let g = random_graph(nodes, (scale, shift), &links);
                 assert_mirror_lane_matches_search(&g);
 
-                // New peering links between non-adjacent pairs.
-                let mut pairs: Vec<(u32, u32)> = Vec::new();
+                // New peering links between non-adjacent pairs, added in
+                // place: the CSR must equal the one rebuilt from the
+                // same links.
+                let mut extended = g.clone();
                 for &(u, v) in &added {
                     let (u, v) = (u % nodes, v % nodes);
-                    let key = (u.min(v), u.max(v));
-                    if u != v
-                        && g.neighbor_position(u, v).is_none()
-                        && !pairs.iter().any(|&(a, b)| (a.min(b), a.max(b)) == key)
-                    {
-                        pairs.push((u, v));
+                    if u != v && extended.neighbor_position(u, v).is_none() {
+                        let (pos_u, pos_v) = extended.add_peering_link(u, v).unwrap();
+                        prop_assert_eq!(extended.neighbor_position(u, v), Some(pos_u));
+                        prop_assert_eq!(extended.neighbor_position(v, u), Some(pos_v));
                     }
                 }
-                let extended = g.with_added_peering_links(&pairs).unwrap();
+                let mut rebuilt = extended.clone();
+                rebuilt.rebuild_indices();
+                prop_assert_eq!(&extended.adjacency.offsets, &rebuilt.adjacency.offsets);
+                prop_assert_eq!(&extended.adjacency.neighbors, &rebuilt.adjacency.neighbors);
+                prop_assert_eq!(&extended.adjacency.link_ids, &rebuilt.adjacency.link_ids);
                 assert_mirror_lane_matches_search(&extended);
 
                 // The lane is off the wire and comes back with the CSR.

@@ -11,15 +11,16 @@
 //!
 //! - [`Asn`]: a newtype for AS numbers.
 //! - [`Relationship`]: the business relationship encoded by a link.
-//! - [`AsGraph`]: an immutable, index-accelerated mixed graph with the
-//!   neighbor decomposition `π(X)` (providers), `ε(X)` (peers), and `γ(X)`
-//!   (customers) used throughout the paper.
+//! - [`AsGraph`]: an index-accelerated mixed graph with the neighbor
+//!   decomposition `π(X)` (providers), `ε(X)` (peers), and `γ(X)`
+//!   (customers) used throughout the paper. Its node set is fixed; it
+//!   grows only by new peering links, inserted in place.
 //! - [`AsGraphBuilder`]: a validating builder for [`AsGraph`].
 //! - [`caida`]: a parser and writer for the CAIDA AS-relationship
 //!   *serial-2* text format, so real CAIDA snapshots can be loaded directly.
-//! - [`snapshot`]: snapshot-directory loading — relationships with a
-//!   serialized-graph cache, the `asn|lat|lon` geolocation sidecar, and
-//!   snapshot enumeration for longitudinal runs.
+//! - [`snapshot`]: snapshot-directory loading — the relationships file,
+//!   the `asn|lat|lon` geolocation sidecar, and snapshot enumeration for
+//!   longitudinal runs.
 //! - [`geo`]: geographic annotations (AS centroids and interconnection
 //!   facilities) and great-circle distances, used by the paper's
 //!   geodistance analysis (§VI-B).

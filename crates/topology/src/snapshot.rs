@@ -10,27 +10,15 @@
 //! <dir>/2024/...
 //! ```
 //!
-//! This module owns the topology half of snapshot loading: reading and
-//! caching the relationships graph, parsing the geolocation sidecar, and
-//! enumerating the snapshots under a directory. The prefix sidecar and the
-//! synthetic fill for missing fields live in `pan-datasets`, which also
-//! exposes the user-facing `MarketSource` entry point.
-//!
-//! # Graph cache
-//!
-//! Real relationship files run to hundreds of thousands of lines; parsing
-//! and re-validating them dominates load time. [`load_relationships`]
-//! therefore writes a serialized-graph cache (`relationships.txt.graph-cache.json`)
-//! next to the source file, keyed by an FNV-1a hash of the file bytes.
-//! A warm load deserializes the cached [`AsGraph`] and re-checks its wire
-//! integrity — I/O-bound, not parse-bound. Stale, corrupt, or unreadable
-//! caches are ignored and rebuilt; cache *writes* are best-effort (a
-//! read-only snapshot directory still loads fine, just always cold).
+//! This module owns the topology half of snapshot loading: parsing the
+//! relationships graph and the geolocation sidecar, and enumerating the
+//! snapshots under a directory. The prefix sidecar and the synthetic
+//! fill for missing fields live in `pan-datasets`, which also exposes
+//! the user-facing `MarketSource` entry point. Loading only reads: it
+//! never writes into the snapshot directory.
 
 use std::fs;
-use std::path::{Path, PathBuf};
-
-use serde::{Deserialize, Serialize};
+use std::path::Path;
 
 use crate::geo::GeoPoint;
 use crate::{caida, AsGraph, Asn, Result, TopologyError};
@@ -41,142 +29,21 @@ pub const RELATIONSHIPS_FILE: &str = "relationships.txt";
 pub const PREFIXES_FILE: &str = "prefix2as.txt";
 /// File name of the optional AS-geolocation sidecar.
 pub const GEO_FILE: &str = "geo.txt";
-/// Suffix appended to a relationships file's name to form its cache path.
-pub const CACHE_SUFFIX: &str = ".graph-cache.json";
 
-/// Cache file format tag; bump [`CACHE_VERSION`] on layout changes instead
-/// of changing this.
-const CACHE_FORMAT: &str = "pan-topology/graph-cache";
-/// Cache layout version. Mismatches are treated as a cold load.
-const CACHE_VERSION: u32 = 1;
-
-/// Whether a [`load_relationships`] call parsed the text (`Cold`) or
-/// deserialized the sidecar cache (`Warm`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CacheStatus {
-    /// The serial-2 text was parsed and the cache (re)written.
-    Cold,
-    /// The graph came from a valid cache file; the text was only hashed.
-    Warm,
-}
-
-impl CacheStatus {
-    /// `true` for a cache hit.
-    #[must_use]
-    pub fn is_warm(self) -> bool {
-        matches!(self, CacheStatus::Warm)
-    }
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct GraphCache {
-    format: String,
-    version: u32,
-    /// FNV-1a of the source file bytes; a mismatch means the snapshot
-    /// changed under the cache.
-    source_hash: u64,
-    graph: AsGraph,
-}
-
-/// FNV-1a hash of a byte slice — the cache key for snapshot content.
-///
-/// Same constants as the deterministic-RNG substream labels elsewhere in
-/// the workspace, so hashes are stable across platforms and runs.
-#[must_use]
-pub fn content_hash(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Loads a CAIDA serial-2 relationships file, going through the
-/// serialized-graph cache next to it.
-///
-/// Returns the graph and whether the load was a cache hit. The cached and
-/// freshly-parsed graphs are bit-identical: the cache stores the exact
-/// serde form of the parsed [`AsGraph`], and a warm load re-validates wire
-/// integrity before trusting it.
+/// Loads a CAIDA serial-2 relationships file: reads it and
+/// [`caida::parse`]s it.
 ///
 /// # Errors
 ///
 /// [`TopologyError::Io`] if the relationships file cannot be read, plus
-/// everything [`caida::parse`] returns. Cache problems are never errors —
-/// a bad cache is ignored and rewritten.
-pub fn load_relationships(path: &Path) -> Result<(AsGraph, CacheStatus)> {
+/// everything [`caida::parse`] returns.
+pub fn load_relationships(path: &Path) -> Result<AsGraph> {
     let text = fs::read_to_string(path).map_err(|e| TopologyError::Io {
         path: path.display().to_string(),
         reason: e.to_string(),
     })?;
-    let hash = content_hash(text.as_bytes());
-    let cache_path = cache_path_for(path);
-    {
-        let _span = pan_telemetry::histogram("topology.snapshot.cache_load_ns").start();
-        if let Some(graph) = read_cache(&cache_path, hash) {
-            pan_telemetry::counter("topology.snapshot.cache_hits").inc();
-            return Ok((graph, CacheStatus::Warm));
-        }
-    }
-    pan_telemetry::counter("topology.snapshot.cache_misses").inc();
-    let graph = {
-        let _span = pan_telemetry::histogram("topology.snapshot.parse_ns").start();
-        caida::parse(&text)?
-    };
-    write_cache(&cache_path, hash, &graph);
-    Ok((graph, CacheStatus::Cold))
-}
-
-/// The cache path for a relationships file: the file name with
-/// [`CACHE_SUFFIX`] appended, in the same directory.
-#[must_use]
-pub fn cache_path_for(relationships: &Path) -> PathBuf {
-    let mut name = relationships
-        .file_name()
-        .map_or_else(|| "graph".into(), std::ffi::OsStr::to_os_string);
-    name.push(CACHE_SUFFIX);
-    relationships.with_file_name(name)
-}
-
-fn read_cache(cache_path: &Path, source_hash: u64) -> Option<AsGraph> {
-    let text = fs::read_to_string(cache_path).ok()?;
-    let cache: GraphCache = serde_json::from_str(&text).ok()?;
-    if cache.format != CACHE_FORMAT
-        || cache.version != CACHE_VERSION
-        || cache.source_hash != source_hash
-    {
-        return None;
-    }
-    cache.graph.validate().ok()?;
-    // The ASN→index map and CSR adjacency are derivable, so the wire
-    // format skips them; restore them before handing the graph out.
-    let mut graph = cache.graph;
-    graph.rebuild_indices();
-    Some(graph)
-}
-
-/// Best-effort cache write: serialize to a sibling temp file, then rename
-/// into place (atomic within a directory), so concurrent loaders never see
-/// a half-written cache. All failures are swallowed.
-fn write_cache(cache_path: &Path, source_hash: u64, graph: &AsGraph) {
-    let cache = GraphCache {
-        format: CACHE_FORMAT.to_owned(),
-        version: CACHE_VERSION,
-        source_hash,
-        graph: graph.clone(),
-    };
-    let Ok(json) = serde_json::to_string(&cache) else {
-        return;
-    };
-    let mut tmp_name = cache_path
-        .file_name()
-        .map_or_else(|| "graph-cache".into(), std::ffi::OsStr::to_os_string);
-    tmp_name.push(format!(".tmp.{}", std::process::id()));
-    let tmp = cache_path.with_file_name(tmp_name);
-    if fs::write(&tmp, json).is_ok() && fs::rename(&tmp, cache_path).is_err() {
-        let _ = fs::remove_file(&tmp);
-    }
+    let _span = pan_telemetry::histogram("topology.snapshot.parse_ns").start();
+    caida::parse(&text)
 }
 
 /// Parses an `asn|lat|lon` geolocation sidecar document.
@@ -262,6 +129,7 @@ pub fn list_snapshots(dir: &Path) -> Result<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -271,69 +139,6 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    #[test]
-    fn cold_then_warm_loads_are_bit_identical() {
-        let dir = temp_dir("warm");
-        let rel = dir.join(RELATIONSHIPS_FILE);
-        fs::write(&rel, caida::to_string(&crate::fixtures::fig1())).unwrap();
-
-        let (cold, status) = load_relationships(&rel).unwrap();
-        assert_eq!(status, CacheStatus::Cold);
-        assert!(cache_path_for(&rel).is_file());
-
-        let (warm, status) = load_relationships(&rel).unwrap();
-        assert_eq!(status, CacheStatus::Warm);
-        assert_eq!(
-            serde_json::to_string(&cold).unwrap(),
-            serde_json::to_string(&warm).unwrap()
-        );
-        // The wire format skips the derived index/adjacency tables, so
-        // byte-equality of the serde form is not enough: the warm graph
-        // must answer queries identically too.
-        for asn in cold.ases() {
-            assert!(warm.contains(asn), "{asn} lost by the cache round-trip");
-            assert_eq!(
-                cold.providers(asn).collect::<Vec<_>>(),
-                warm.providers(asn).collect::<Vec<_>>()
-            );
-            assert_eq!(
-                cold.peers(asn).collect::<Vec<_>>(),
-                warm.peers(asn).collect::<Vec<_>>()
-            );
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_cache_is_rebuilt_when_source_changes() {
-        let dir = temp_dir("stale");
-        let rel = dir.join(RELATIONSHIPS_FILE);
-        fs::write(&rel, "1|2|-1\n").unwrap();
-        load_relationships(&rel).unwrap();
-
-        fs::write(&rel, "1|2|-1\n2|3|0\n").unwrap();
-        let (graph, status) = load_relationships(&rel).unwrap();
-        assert_eq!(status, CacheStatus::Cold);
-        assert_eq!(graph.link_count(), 2);
-
-        let (graph, status) = load_relationships(&rel).unwrap();
-        assert_eq!(status, CacheStatus::Warm);
-        assert_eq!(graph.link_count(), 2);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_cache_falls_back_to_parsing() {
-        let dir = temp_dir("corrupt");
-        let rel = dir.join(RELATIONSHIPS_FILE);
-        fs::write(&rel, "1|2|-1\n").unwrap();
-        fs::write(cache_path_for(&rel), "{ not json").unwrap();
-        let (graph, status) = load_relationships(&rel).unwrap();
-        assert_eq!(status, CacheStatus::Cold);
-        assert_eq!(graph.link_count(), 1);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
