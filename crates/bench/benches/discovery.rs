@@ -1,6 +1,5 @@
 //! Criterion benches for the topology-wide discovery engine: the dense
-//! batch path vs. the legacy per-pair `AgreementScenario` path — the
-//! before/after pair recorded in `BENCH_discovery.json`.
+//! batch path vs. the legacy per-pair `AgreementScenario` path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -1,6 +1,6 @@
 //! Criterion benches for the `pan-runtime` scenario-sweep runtime: pool
 //! dispatch overhead, and the figure workloads at 1 vs. available
-//! threads (the `BENCH_sweep.json` before/after evidence).
+//! threads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

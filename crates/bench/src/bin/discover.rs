@@ -9,10 +9,10 @@
 //! ```
 //!
 //! Accepts the shared [`ScenarioSpec`] flags plus `--bench-out <path>`,
-//! which writes a JSON timing record (candidate-pairs/second) for
-//! `BENCH_discovery.json`. The sparse per-pair stack behind that
-//! record's "before" baseline is timed by the `evaluate_24_pairs/legacy`
-//! case of `cargo bench -p pan-bench --bench discovery`.
+//! which writes a JSON timing record (candidate-pairs/second). The
+//! sparse per-pair stack the dense engine replaced is timed by the
+//! `evaluate_24_pairs/legacy` case of
+//! `cargo bench -p pan-bench --bench discovery`.
 //!
 //! Timings go to **stderr** so stdout stays byte-identical at any
 //! `--threads` value — the property the CI `discovery-smoke` job diffs.

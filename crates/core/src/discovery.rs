@@ -42,8 +42,7 @@
 //!
 //! [`evaluate_candidate_legacy`] runs the same grid through the original
 //! allocation-heavy [`AgreementScenario`] path; it is the correctness
-//! oracle for the dense engine and the "before" side of the
-//! `BENCH_discovery.json` comparison.
+//! oracle for the dense engine.
 
 use std::cmp::Ordering;
 use std::sync::OnceLock;

@@ -54,11 +54,14 @@
 //! only what provably survives a round, in its `RoundCache`: the
 //! candidate enumeration and each pair's transit structure, both
 //! functions of the peering graph alone (flows and prices are read at
-//! evaluation time). A new peering link drops the two together; traffic
-//! drift and price shocks leave them. The cache needs no key beyond the
-//! state it lives on, and any driver stepping that state reads it warm.
-//! A warm round on a static graph therefore costs one node-program build
-//! plus one programmed evaluation per candidate.
+//! evaluation time). The enumeration records the policy and the link
+//! count it was derived from, and a round re-enumerates when either
+//! differs: links are only ever added, so a new peering link drops the
+//! two tables together, while traffic drift and price shocks leave them.
+//! Nothing outside the round writes to the cache, and any driver
+//! stepping the state reads it warm. A warm round on a static graph
+//! therefore costs one node-program build plus one programmed evaluation
+//! per candidate.
 //!
 //! Caching evaluated *outcomes* and re-evaluating only pairs whose
 //! endpoint rows changed does not pay, because row-level dirtiness is
@@ -69,7 +72,6 @@
 //! adoptions dirtied 9,987 of 10,000 rows, so such a cache re-evaluates
 //! nearly every candidate anyway and adds its own bookkeeping on top.
 
-use std::collections::HashSet;
 use std::time::Instant;
 
 use rand::Rng;
@@ -106,10 +108,11 @@ pub struct MarketState {
     /// Cumulative NBS transfers per dense node index: positive = net
     /// receiver of compensation.
     cash: Vec<f64>,
-    /// Adopted pairs by dense node index (`x < y`). Never iterated —
-    /// membership tests only, so the hash order cannot leak into
-    /// results.
-    adopted: HashSet<(u32, u32)>,
+    /// Adopted agreements by dense node index: `partners[x]` holds, in
+    /// ascending order, every `y > x` that adopted an agreement with `x`.
+    /// An AS adopts at most one agreement per round, so the lists stay
+    /// short.
+    partners: Vec<Vec<u32>>,
     /// Coarse market revision: bumped on every adoption and every
     /// perturbation pass (traffic drift, price shocks, link failures).
     /// The serving layer keys its per-AS advise cache on this counter;
@@ -152,13 +155,16 @@ impl AdoptScratch {
 /// across rounds: the candidate enumeration with each candidate's
 /// [`PairTransit`], and the round's index buffer.
 ///
-/// The cache lives on the [`MarketState`] it was derived from. Both
-/// tables are functions of the peering graph alone, so the one mutation
-/// that changes their input — [`MarketState::adopt_outcome`] registering
-/// a new peering link — drops the enumeration, and its transits with it.
-/// Flows and prices never enter either table. The cache never
-/// influences results: a kept entry is bitwise what a fresh derivation
-/// would return.
+/// The cache lives on the [`MarketState`] it was derived from, and only
+/// [`EvolutionDriver::step`] reads or writes it. Both tables are
+/// functions of the peering graph alone, and the graph only ever gains
+/// links, so the enumeration is keyed on its policy and the link count:
+/// a round that finds either changed (a new peering link, registered in
+/// a round or outside one) re-enumerates, dropping the transits too. A
+/// clone carries its own graph and cache, and a restored state starts
+/// with an empty cache. Flows and prices never enter either table. The
+/// cache never influences results: a kept entry is bitwise what a fresh
+/// derivation would return.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RoundCache {
     /// The candidate enumeration and its transits, while the peering
@@ -183,7 +189,10 @@ pub(crate) struct RoundCache {
 /// with it.
 #[derive(Debug, Clone)]
 struct Enumeration {
+    /// The key: the policy and the graph's link count the enumeration
+    /// was derived under.
     policy: CandidatePolicy,
+    link_count: usize,
     /// The unfiltered enumeration (adopted pairs included: the adopted
     /// set changes every round, so filtering happens per round).
     pairs: Vec<CandidatePair>,
@@ -191,13 +200,6 @@ struct Enumeration {
     /// the whole enumeration by the first noise-free round that finds it
     /// missing. Noisy rounds never read it, so they never allocate it.
     transit: Option<Vec<PairTransit>>,
-    /// Parallel to `pairs`: whether each pair holds an adopted
-    /// agreement, so a round filters its candidates by position instead
-    /// of probing the state's adopted set per pair. Rebuilt from that
-    /// set with the enumeration; a round's own adoptions mark their
-    /// positions, and an adoption outside a round drops the flags for
-    /// the next round to rebuild.
-    adopted: Option<Vec<bool>>,
 }
 
 /// How often a cached table was rebuilt and how often a round reused
@@ -231,8 +233,7 @@ impl RoundCache {
                 transit.capacity() * size_of::<PairTransit>()
                     + transit.iter().map(PairTransit::heap_bytes).sum::<usize>()
             });
-            let adopted = e.adopted.as_ref().map_or(0, Vec::capacity);
-            e.pairs.capacity() * size_of::<CandidatePair>() + transit + adopted
+            e.pairs.capacity() * size_of::<CandidatePair>() + transit
         });
         enumeration + self.filtered.capacity() * size_of::<u32>()
     }
@@ -255,13 +256,13 @@ impl MarketState {
                 });
             }
         }
-        let cash = vec![0.0; graph.node_count()];
+        let n = graph.node_count();
         Ok(MarketState {
             graph,
             econ,
             flows,
-            cash,
-            adopted: HashSet::new(),
+            cash: vec![0.0; n],
+            partners: vec![Vec::new(); n],
             generation: 0,
             adopt_scratch: AdoptScratch::default(),
             round_cache: RoundCache::default(),
@@ -291,16 +292,18 @@ impl MarketState {
     }
 
     /// Reassembles a state from its serialized parts (the checkpoint
-    /// path, used by [`MarketSnapshot::restore`]): shape-checks the
-    /// tables like [`new`](Self::new), and additionally validates the
-    /// ledger (finite balances) and the adopted set (normalized `x < y`
+    /// path, used by [`MarketSnapshot::restore`]): checks that the
+    /// tables are shaped for the graph
+    /// ([`DenseEconomics::validate_shape`],
+    /// [`FlowMatrix::validate_shape`]), and validates the ledger (one
+    /// finite balance per node) and the adopted set (normalized `x < y`
     /// in-range pairs without duplicates).
     ///
     /// # Errors
     ///
-    /// Returns [`AgreementError::DimensionMismatch`] for mis-shaped
-    /// tables and [`AgreementError::Snapshot`] for an invalid ledger or
-    /// adopted set.
+    /// Returns [`AgreementError::Econ`] for mis-shaped tables,
+    /// [`AgreementError::DimensionMismatch`] for a mis-sized ledger, and
+    /// [`AgreementError::Snapshot`] for an invalid ledger or adopted set.
     pub fn from_parts(
         graph: AsGraph,
         econ: DenseEconomics,
@@ -308,14 +311,14 @@ impl MarketState {
         cash: Vec<f64>,
         adopted: Vec<(u32, u32)>,
     ) -> Result<Self> {
+        econ.validate_shape(&graph)?;
+        flows.validate_shape(&graph)?;
         let n = graph.node_count();
-        for actual in [econ.node_count(), flows.node_count(), cash.len()] {
-            if actual != n {
-                return Err(AgreementError::DimensionMismatch {
-                    expected: n,
-                    actual,
-                });
-            }
+        if cash.len() != n {
+            return Err(AgreementError::DimensionMismatch {
+                expected: n,
+                actual: cash.len(),
+            });
         }
         for &balance in &cash {
             if !balance.is_finite() {
@@ -324,29 +327,21 @@ impl MarketState {
                 });
             }
         }
-        let mut set = HashSet::with_capacity(adopted.len());
+        let mut state = Self::new(graph, econ, flows)?;
+        state.cash = cash;
         for &(x, y) in &adopted {
             if x >= y || y >= n as u32 {
                 return Err(AgreementError::Snapshot {
                     reason: format!("adopted pair ({x}, {y}) is not a normalized node-index pair"),
                 });
             }
-            if !set.insert((x, y)) {
+            if !insert_partner(&mut state.partners, x, y) {
                 return Err(AgreementError::Snapshot {
                     reason: format!("adopted pair ({x}, {y}) appears twice"),
                 });
             }
         }
-        Ok(MarketState {
-            graph,
-            econ,
-            flows,
-            cash,
-            adopted: set,
-            generation: 0,
-            adopt_scratch: AdoptScratch::default(),
-            round_cache: RoundCache::default(),
-        })
+        Ok(state)
     }
 
     /// Coarse market revision for result caches (the serving layer's
@@ -394,19 +389,23 @@ impl MarketState {
     /// Number of agreements adopted so far.
     #[must_use]
     pub fn adopted_count(&self) -> usize {
-        self.adopted.len()
+        self.partners.iter().map(Vec::len).sum()
     }
 
     /// `true` if the pair (by dense node index, either order) already
-    /// holds an adopted agreement.
+    /// holds an adopted agreement: a scan of the lower index's partners.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lower index is out of bounds.
     #[must_use]
     pub fn is_adopted(&self, a: u32, b: u32) -> bool {
-        self.adopted.contains(&(a.min(b), a.max(b)))
+        self.partners[a.min(b) as usize].contains(&a.max(b))
     }
 
     /// Approximate bytes the state keeps resident: the topology, the
     /// dense pricing/flow tables (including their SoA lanes), the cash
-    /// ledger, the adopted set, the adoption scratch, and the round
+    /// ledger, the adopted partner lists, the adoption scratch, and the round
     /// cache. Computed from actual container capacities — the serving
     /// layer's `stats` verb and the scale benchmarks report this.
     #[must_use]
@@ -416,7 +415,8 @@ impl MarketState {
             + self.econ.resident_bytes()
             + self.flows.resident_bytes()
             + self.cash.capacity() * size_of::<f64>()
-            + self.adopted.capacity() * (size_of::<(u32, u32)>() + size_of::<u64>())
+            + self.partners.capacity() * size_of::<Vec<u32>>()
+            + self.partners.iter().map(Vec::capacity).sum::<usize>() * size_of::<u32>()
             + self.adopt_scratch.resident_bytes()
             + self.round_cache.resident_bytes()
     }
@@ -430,9 +430,8 @@ impl MarketState {
     /// - both entries of every link carry the same volume (to `1e-12`
     ///   relative), each entry's twin read through
     ///   [`AsGraph::mirror_position`];
-    /// - the topology passes [`AsGraph::validate`], which on a built
-    ///   graph includes the CSR's mirror lane being an involution (the
-    ///   mirror of an entry's mirror is the entry itself).
+    /// - the CSR's mirror lane is an involution, the mirror of an
+    ///   entry's mirror being the entry itself ([`AsGraph::validate`]).
     ///
     /// # Errors
     ///
@@ -487,13 +486,16 @@ impl MarketState {
     }
 
     /// The adopted pairs as a **sorted** list of normalized node-index
-    /// pairs — the canonical order every serialization uses, so the hash
-    /// set's iteration order can never leak into a wire format.
+    /// pairs — the canonical order every serialization uses. The partner
+    /// lists are kept in this order, so reading them needs no sort.
     #[must_use]
     pub fn adopted_pairs(&self) -> Vec<(u32, u32)> {
-        let mut pairs: Vec<(u32, u32)> = self.adopted.iter().copied().collect();
-        pairs.sort_unstable();
-        pairs
+        let pairs = self
+            .partners
+            .iter()
+            .enumerate()
+            .flat_map(|(x, ys)| ys.iter().map(move |&y| (x as u32, y)));
+        pairs.collect()
     }
 
     /// Adopts the agreement of candidate `pair` at `shares` — the
@@ -526,7 +528,7 @@ impl MarketState {
             return Err(AgreementError::InvalidFraction { value: min_surplus });
         }
         let (x, y) = (pair.x.min(pair.y), pair.x.max(pair.y));
-        if self.adopted.contains(&(x, y)) {
+        if self.is_adopted(x, y) {
             return Ok(None);
         }
         // Re-evaluate against the current tables: adoptions earlier in
@@ -564,21 +566,12 @@ impl MarketState {
             let (pos_x, pos_y) = self.graph.add_peering_link(x, y)?;
             self.econ.insert_peering_link([(x, pos_x), (y, pos_y)]);
             self.flows.insert_link([(x, pos_x), (y, pos_y)]);
-            // Only the parties' rows gained a slot, but the cached
-            // enumeration and its transits are now stale.
-            self.round_cache.enumeration = None;
         }
         self.materialize(x, y, shares, (cash.reroute, cash.attract));
         // Eq. (10)–(11): X pays Π_{X→Y} to Y (negative = Y pays X).
         self.cash[x as usize] -= cash.transfer_x_to_y;
         self.cash[y as usize] += cash.transfer_x_to_y;
-        self.adopted.insert((x, y));
-        // The cached flags have no position for the pair at hand. A
-        // round's own adoptions find the cache out of the state and mark
-        // their positions themselves.
-        if let Some(enumeration) = &mut self.round_cache.enumeration {
-            enumeration.adopted = None;
-        }
+        insert_partner(&mut self.partners, x, y);
         self.generation += 1;
         Ok(Some(AdoptedAgreement {
             round,
@@ -776,6 +769,19 @@ impl MarketState {
             price_shocks,
             failed_links,
         })
+    }
+}
+
+/// Records `y` as a partner of `x < y` in the ascending partner lists;
+/// `false` if the pair was already recorded.
+fn insert_partner(partners: &mut [Vec<u32>], x: u32, y: u32) -> bool {
+    let ys = &mut partners[x as usize];
+    match ys.binary_search(&y) {
+        Ok(_) => false,
+        Err(at) => {
+            ys.insert(at, y);
+            true
+        }
     }
 }
 
@@ -1094,19 +1100,16 @@ impl EvolutionDriver {
             // under a different policy).
             let _span = pan_telemetry::histogram("core.phase.enumerate_ns").start();
             let policy = config.discovery.policy;
-            let rebuilt = !matches!(&cache.enumeration, Some(e) if e.policy == policy);
+            let link_count = state.graph.link_count();
+            let rebuilt = !matches!(&cache.enumeration,
+                Some(e) if e.policy == policy && e.link_count == link_count);
             if rebuilt {
                 cache.enumeration = Some(Enumeration {
                     policy,
+                    link_count,
                     pairs: enumerate_candidates(&state.graph, policy),
                     transit: None,
-                    adopted: None,
                 });
-            }
-            let enumeration = cache.enumeration.as_mut().expect("enumerated above");
-            if enumeration.adopted.is_none() {
-                let flags = enumeration.pairs.iter().map(|p| state.is_adopted(p.x, p.y));
-                enumeration.adopted = Some(flags.collect());
             }
             cache.enumerations.count(
                 rebuilt,
@@ -1127,12 +1130,6 @@ impl EvolutionDriver {
             ],
         );
         let scan = full_round(state, &config, &round_sweep, &mut cache, round)?;
-        if scan.new_links > 0 {
-            // This round's adoptions registered peering links while the
-            // cache was out of the state, so `adopt_outcome` could not
-            // drop it.
-            cache.enumeration = None;
-        }
         state.round_cache = cache;
         let total_flow = state.flows.grand_total();
 
@@ -1199,19 +1196,11 @@ fn full_round(
     cache: &mut RoundCache,
     round: usize,
 ) -> Result<RoundScan> {
-    let Enumeration {
-        pairs,
-        transit,
-        adopted,
-        ..
-    } = cache
+    let Enumeration { pairs, transit, .. } = cache
         .enumeration
         .as_mut()
         .expect("the round enumerated before evaluating");
     let pairs = &*pairs;
-    let adopted = adopted
-        .as_mut()
-        .expect("the round flagged adopted pairs with the enumeration");
     // 1. This round's candidate view: the non-adopted enumeration
     // indices, in enumeration order (reusing the cache's buffer). The
     // sweeps below hand workers row-locality tiles of consecutive
@@ -1223,10 +1212,10 @@ fn full_round(
         let _span = pan_telemetry::histogram("core.phase.enumerate_ns").start();
         filtered.clear();
         filtered.extend(
-            adopted
+            pairs
                 .iter()
                 .enumerate()
-                .filter(|&(_, &adopted)| !adopted)
+                .filter(|(_, pair)| !state.is_adopted(pair.x, pair.y))
                 .map(|(position, _)| position as u32),
         );
     }
@@ -1360,7 +1349,6 @@ fn full_round(
             config.min_surplus,
             round,
         )? {
-            adopted[position] = true;
             busy[i] = true;
             busy[j] = true;
             adopted_surplus += agreement.joint_utility;
@@ -1476,7 +1464,7 @@ pub const SNAPSHOT_FORMAT: &str = "pan-interconnect/market-state";
 pub const SNAPSHOT_VERSION: u32 = 1;
 
 /// A versioned, self-contained checkpoint of an evolving market: the
-/// graph (CSR is rebuilt on restore), the dense pricing and flow tables,
+/// graph (its CSR is rebuilt when it decodes), the dense pricing and flow tables,
 /// the cash ledger, the adopted set (canonically sorted), the RNG round
 /// counter, and the run parameters (master seed + evolution config) —
 /// everything needed to resume a trajectory or diff it across code
@@ -1529,13 +1517,16 @@ impl MarketSnapshot {
         serde_json::to_string(self).expect("checkpoints serialize")
     }
 
-    /// Parses a checkpoint, rejecting unknown formats and versions
-    /// before looking at the payload.
+    /// Parses a checkpoint, rejecting unknown formats and versions. The
+    /// graph decodes through [`pan_topology::AsGraphBuilder`], so a graph
+    /// the builder would refuse (a provider cycle, a self-loop, a
+    /// conflicting link) or a non-canonical one (a repeated ASN or link,
+    /// an endpoint outside the node table) fails here.
     ///
     /// # Errors
     ///
     /// Returns [`AgreementError::Snapshot`] for malformed JSON, a
-    /// foreign format tag, or an unsupported version.
+    /// foreign format tag, an unsupported version, or a corrupt graph.
     pub fn from_json(text: &str) -> Result<Self> {
         let snapshot: MarketSnapshot =
             serde_json::from_str(text).map_err(|e| AgreementError::Snapshot {
@@ -1560,31 +1551,28 @@ impl MarketSnapshot {
         Ok(snapshot)
     }
 
-    /// Validates the payload, rebuilds the graph's derived tables (ASN
-    /// index + CSR adjacency), and reassembles the market and its
-    /// driver. The checkpoint's [`seed`](Self::seed) is the master seed
-    /// the caller must resume sweeps with.
+    /// Reassembles the market from the decoded graph and the checked
+    /// tables ([`MarketState::from_parts`]), and its driver. The
+    /// checkpoint's [`seed`](Self::seed) is the master seed the caller
+    /// must resume sweeps with.
     ///
     /// # Errors
     ///
     /// Returns [`AgreementError::Snapshot`] /
-    /// [`AgreementError::Topology`] / [`AgreementError::Econ`] when any
-    /// component fails its wire-integrity check.
+    /// [`AgreementError::DimensionMismatch`] / [`AgreementError::Econ`]
+    /// when a table does not fit the graph or the ledger or adopted set
+    /// is invalid, and the driver's errors for an invalid configuration.
     pub fn restore(self) -> Result<(MarketState, EvolutionDriver)> {
         let MarketSnapshot {
             config,
             rounds_done,
-            mut graph,
+            graph,
             econ,
             flows,
             cash,
             adopted,
             ..
         } = self;
-        graph.validate()?;
-        graph.rebuild_indices();
-        econ.validate_shape(&graph)?;
-        flows.validate_shape(&graph)?;
         let state = MarketState::from_parts(graph, econ, flows, cash, adopted)?;
         let driver = EvolutionDriver::resume(config, rounds_done)?;
         Ok((state, driver))
@@ -2088,6 +2076,68 @@ mod tests {
         wrong.cash.pop();
         assert!(wrong.restore().is_err(), "mis-sized ledger");
         snapshot.restore().expect("the pristine snapshot restores");
+
+        // Edited checkpoint JSON, on the transit chain AS10 → … → AS14
+        // (node `i` is AS1i, link `i` runs from node `i` to `i + 1`).
+        let json = transit_chain_checkpoint();
+        let edit = |edits: &[(&str, &str)]| {
+            edits.iter().fold(json.clone(), |text, (from, to)| {
+                assert!(text.contains(from), "{from}");
+                text.replacen(from, to, 1)
+            })
+        };
+        let (first, last) = (r#"{"a":0,"b":1,"#, r#"{"a":3,"b":4,"#);
+        // Each graph edit fails to decode. Swapping the far ends of the
+        // first and last link (AS10 → AS14, AS13 → AS11) keeps every
+        // AS's provider and customer counts, so the tables still fit the
+        // graph, but closes the provider cycle AS11 → AS12 → AS13 → AS11.
+        let corrupt_graphs = [
+            edit(&[(first, r#"{"a":0,"b":4,"#), (last, r#"{"a":3,"b":1,"#)]),
+            edit(&[(first, r#"{"a":0,"b":0,"#)]),
+            edit(&[(first, r#"{"a":99,"b":1,"#)]),
+            edit(&[(
+                r#""links":["#,
+                &format!(r#""links":[{first}"relationship":"ProviderToCustomer"}},"#),
+            )]),
+            edit(&[(r#""asns":[10,11,"#, r#""asns":[10,10,"#)]),
+        ];
+        for (case, text) in corrupt_graphs.iter().enumerate() {
+            assert!(
+                matches!(
+                    MarketSnapshot::from_json(text),
+                    Err(AgreementError::Snapshot { .. })
+                ),
+                "graph edit {case}"
+            );
+        }
+        // A flow row one slot short (and the next one slot long) decodes
+        // but does not fit the graph.
+        let short_row = edit(&[(r#""offsets":[0,2,5,"#, r#""offsets":[0,1,5,"#)]);
+        let snapshot = MarketSnapshot::from_json(&short_row).unwrap();
+        assert!(snapshot.restore().is_err(), "a flow row one slot short");
+        MarketSnapshot::from_json(&json).unwrap().restore().unwrap();
+    }
+
+    /// The checkpoint JSON of a market on the transit chain AS10 → AS11
+    /// → AS12 → AS13 → AS14.
+    fn transit_chain_checkpoint() -> String {
+        let mut b = AsGraphBuilder::new();
+        for i in 0..4 {
+            let (provider, customer) = (Asn::new(10 + i), Asn::new(11 + i));
+            b.add_link(provider, customer, Relationship::ProviderToCustomer)
+                .unwrap();
+        }
+        let graph = b.build().unwrap();
+        let econ = DenseEconomics::build(
+            &graph,
+            |_, _| PricingFunction::per_usage(1.0).unwrap(),
+            |_| PricingFunction::per_usage(1.0).unwrap(),
+            |_| CostFunction::linear(0.01).unwrap(),
+        );
+        let flows = FlowMatrix::degree_gravity(&graph, 1.0);
+        let state = MarketState::new(graph, econ, flows).unwrap();
+        let driver = EvolutionDriver::new(EvolutionConfig::default()).unwrap();
+        MarketSnapshot::capture(&state, &driver, 5).to_json()
     }
 
     #[test]
@@ -2295,7 +2345,6 @@ mod tests {
         let mut driver = EvolutionDriver::new(config).unwrap();
         let adopted = driver.step(&mut state, &sweep).unwrap();
         assert_eq!(adopted.record.new_links, 1, "the fixture adds a link");
-        assert!(state.round_cache().enumeration.is_none());
         driver.step(&mut state, &sweep).unwrap();
         let cache = state.round_cache();
         assert_eq!(
@@ -2317,7 +2366,6 @@ mod tests {
         })
         .unwrap();
         driver.step(&mut state, &sweep).unwrap();
-        assert!(state.round_cache().enumeration.is_some());
         let (x, y) = (
             state.graph().index_of(X).unwrap(),
             state.graph().index_of(Y).unwrap(),
@@ -2337,10 +2385,11 @@ mod tests {
         .unwrap();
         let agreement = adopt(&mut state, &outcome, 3, 1e-6, 1).unwrap().unwrap();
         assert!(agreement.new_link);
-        assert!(
-            state.round_cache().enumeration.is_none(),
-            "the enumeration drops, and its transits with it"
-        );
+        driver.step(&mut state, &sweep).unwrap();
+        let cache = state.round_cache();
+        let counts = (cache.enumerations.rebuilds, cache.enumerations.reuses);
+        assert_eq!(counts, (2, 0), "the next round re-enumerates");
+        assert_eq!(cache.transits.rebuilds, 2, "and re-derives the transits");
     }
 
     #[test]
@@ -2389,16 +2438,10 @@ mod tests {
                  and any price shock (shock {shock})"
             );
             let enumeration = cache.enumeration.as_ref().unwrap();
-            let flags = enumeration
-                .adopted
-                .as_ref()
-                .expect("rounds keep the adopted flags");
-            assert_eq!(flags.len(), enumeration.pairs.len());
             assert!(
                 cache.resident_bytes()
-                    >= enumeration.pairs.len() * std::mem::size_of::<CandidatePair>()
-                        + flags.capacity(),
-                "the cache's footprint covers its adopted flags"
+                    > enumeration.pairs.len() * std::mem::size_of::<CandidatePair>(),
+                "the cache's footprint covers its enumeration and transits"
             );
             assert!(
                 state.resident_bytes() > cache.resident_bytes(),
@@ -2478,7 +2521,7 @@ mod tests {
     }
 
     #[test]
-    fn adopted_flags_follow_in_round_and_external_adoptions() {
+    fn adoptions_in_and_out_of_rounds_leave_the_candidate_set() {
         let config = EvolutionConfig {
             discovery: DiscoveryConfig {
                 grid: 3,
@@ -2494,31 +2537,13 @@ mod tests {
         let mut driver = EvolutionDriver::new(config).unwrap();
         let first = driver.step(&mut state, &sweep).unwrap();
         assert!(!first.agreements.is_empty(), "the market trades");
-        let flags_match_the_set = |state: &MarketState| {
-            let enumeration = state.round_cache().enumeration.as_ref().unwrap();
-            let flags = enumeration.adopted.as_ref().unwrap();
-            let expected: Vec<bool> = enumeration
-                .pairs
-                .iter()
-                .map(|pair| state.is_adopted(pair.x, pair.y))
-                .collect();
-            assert_eq!(flags, &expected);
-        };
-        // The round marked its own adoptions.
-        flags_match_the_set(&state);
-
-        // An adoption outside a round drops the flags; the next round
-        // rebuilds it from the adopted set.
         external_adopt(&mut state, &config, 1);
-        let enumeration = state.round_cache().enumeration.as_ref().unwrap();
-        assert!(enumeration.adopted.is_none());
         assert_eq!(state.adopted_count(), first.agreements.len() + 1);
         let second = driver.step(&mut state, &sweep).unwrap();
         assert_eq!(
             second.record.candidates,
             first.record.candidates - state.adopted_count() + second.agreements.len()
         );
-        flags_match_the_set(&state);
     }
 
     #[test]

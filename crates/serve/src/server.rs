@@ -896,7 +896,7 @@ fn handle_stats(
     };
     let session = service.market_mut(market)?;
     let graph = session.state.graph();
-    let total_flow: f64 = session.state.flows().totals().iter().sum();
+    let total_flow = session.state.flows().grand_total();
     let n = graph.node_count() as u32;
     let mut cash_min = 0.0f64;
     let mut cash_max = 0.0f64;

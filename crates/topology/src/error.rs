@@ -66,7 +66,8 @@ pub enum TopologyError {
         /// Human-readable reason.
         reason: String,
     },
-    /// A deserialized graph failed its wire-integrity check
+    /// A serialized graph repeats an ASN or a link or names a node
+    /// outside its node table, or a graph's mirror lane is broken
     /// ([`AsGraph::validate`](crate::AsGraph::validate)).
     CorruptWire {
         /// Human-readable reason.

@@ -4,7 +4,7 @@ use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Asn, Relationship, Result, TopologyError};
+use crate::{AsGraphBuilder, Asn, Relationship, Result, TopologyError};
 
 /// A stable identifier for a link in an [`AsGraph`].
 ///
@@ -102,7 +102,7 @@ const MIRROR_CLASS: [usize; CLASSES] = [CLASS_CUSTOMER, CLASS_PEER, CLASS_PROVID
 /// first use: most graphs (generator output, discovery-only markets,
 /// figure inputs and their clones) never update a link symmetrically,
 /// and at 4 bytes per entry they should not carry it.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct CsrAdjacency {
     /// `3 * node_count + 1` prefix offsets into the packed arrays.
     offsets: Vec<u32>,
@@ -112,7 +112,6 @@ pub(crate) struct CsrAdjacency {
     link_ids: Vec<u32>,
     /// Row-relative position of each packed entry's mirror entry, once
     /// something asked for one.
-    #[serde(skip)]
     mirrors: OnceLock<Vec<u32>>,
 }
 
@@ -249,13 +248,6 @@ impl CsrAdjacency {
     #[inline]
     fn segment(&self, node: u32, class: usize) -> std::ops::Range<usize> {
         let base = node as usize * CLASSES + class;
-        // A default (not yet rebuilt) adjacency answers every query with
-        // an empty range — the same "call rebuild_indices() after
-        // deserializing" contract as the skipped ASN-index map, instead
-        // of an out-of-bounds panic.
-        if base + 1 >= self.offsets.len() {
-            return 0..0;
-        }
         self.offsets[base] as usize..self.offsets[base + 1] as usize
     }
 
@@ -270,9 +262,6 @@ impl CsrAdjacency {
     #[inline]
     fn span_slice(&self, node: u32, from: usize, to: usize) -> &[u32] {
         let base = node as usize * CLASSES;
-        if base + to + 1 >= self.offsets.len() {
-            return &[];
-        }
         &self.neighbors[self.offsets[base + from] as usize..self.offsets[base + to + 1] as usize]
     }
 
@@ -280,9 +269,6 @@ impl CsrAdjacency {
     #[inline]
     fn degree(&self, node: u32) -> usize {
         let base = node as usize * CLASSES;
-        if base + CLASSES >= self.offsets.len() {
-            return 0;
-        }
         (self.offsets[base + CLASSES] - self.offsets[base]) as usize
     }
 
@@ -344,9 +330,6 @@ impl CsrAdjacency {
     #[inline]
     fn link_row(&self, node: u32) -> &[u32] {
         let base = node as usize * CLASSES;
-        if base + CLASSES >= self.offsets.len() {
-            return &[];
-        }
         &self.link_ids[self.offsets[base] as usize..self.offsets[base + CLASSES] as usize]
     }
 
@@ -398,8 +381,9 @@ impl CsrAdjacency {
 /// `π(X)` / `ε(X)` / `γ(X)` as sorted index slices, which makes the
 /// path-enumeration workloads of the evaluation (§VI) cache-friendly.
 ///
-/// Graphs are constructed through [`AsGraphBuilder`](crate::AsGraphBuilder)
-/// or parsed from CAIDA serial-2 files via [`caida::parse`](crate::caida::parse).
+/// Graphs are constructed through [`AsGraphBuilder`], parsed from CAIDA
+/// serial-2 files via [`caida::parse`](crate::caida::parse), or decoded
+/// from their serialized form, which goes through the builder too.
 /// The node set is fixed from then on; the only change a graph takes is
 /// a new peering link ([`add_peering_link`](Self::add_peering_link)),
 /// which keeps every node index and [`LinkId`].
@@ -419,18 +403,18 @@ impl CsrAdjacency {
 /// lookups in the inner loops of the evaluation therefore touch
 /// contiguous memory and never hash.
 ///
-/// The CSR tables are derivable from the serialized `asns` + `links`
-/// and are **not** part of the wire format: after deserializing, call
-/// [`rebuild_indices`](Self::rebuild_indices) — until then every
-/// adjacency query (index- or ASN-keyed) answers empty.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The wire format carries `asns` and `links` only. The ASN index and
+/// the CSR tables are derived from them, and decoding derives them the
+/// way [`AsGraphBuilder::build`] does, after the same checks (see the
+/// `Deserialize` impl).
+#[derive(Debug, Clone, Serialize)]
 pub struct AsGraph {
     pub(crate) asns: Vec<Asn>,
     #[serde(skip)]
     pub(crate) index: HashMap<Asn, u32>,
     // Derivable from links + asns, so excluded from the wire format:
-    // rebuilding on deserialize is cheaper than shipping ~3x the
-    // adjacency payload and rules out inconsistent hand-edited state.
+    // rebuilding on decode is cheaper than shipping ~3x the adjacency
+    // payload and rules out inconsistent hand-edited state.
     #[serde(skip)]
     pub(crate) adjacency: CsrAdjacency,
     pub(crate) links: Vec<LinkRecord>,
@@ -581,8 +565,7 @@ impl AsGraph {
     ///
     /// # Panics
     ///
-    /// Panics if `node` has no `pos`-th neighbor, including on a
-    /// deserialized graph before [`rebuild_indices`](Self::rebuild_indices).
+    /// Panics if `node` has no `pos`-th neighbor.
     #[inline]
     #[must_use]
     pub fn mirror_position(&self, node: u32, pos: usize) -> usize {
@@ -757,10 +740,9 @@ impl AsGraph {
     /// Every node index and existing [`LinkId`] is kept; the new link
     /// takes the next identifier, with its endpoints in argument order.
     /// Its two adjacency entries land at their ASN-sorted places in the
-    /// parties' peer segments, so the CSR equals the one
-    /// [`rebuild_indices`](Self::rebuild_indices) builds from the same
-    /// links. Returns the new entry's position in the packed row of `a`
-    /// and in that of `b` ([`neighbor_indices`](Self::neighbor_indices)
+    /// parties' peer segments, so the CSR equals the one the builder
+    /// builds from the same links. Returns the new entry's position in
+    /// the packed row of `a` and in that of `b` ([`neighbor_indices`](Self::neighbor_indices)
     /// order): the slots that CSR-aligned per-entry tables insert.
     ///
     /// # Errors
@@ -796,73 +778,18 @@ impl AsGraph {
         Ok(self.adjacency.insert_peering(&self.asns, a, b, id))
     }
 
-    /// Integrity check for graphs read from an untrusted wire format
-    /// (e.g. a checkpoint file): every link endpoint must be an in-range
-    /// node index, links must not be self-loops, ASNs must be unique, and
-    /// no AS pair may carry two links. Call **before**
-    /// [`rebuild_indices`](Self::rebuild_indices) — a corrupt link table
-    /// would otherwise panic inside the CSR rebuild instead of erroring.
-    ///
-    /// On a graph whose indices are built, the check also covers the
-    /// CSR's mirror lane (see [`mirror_position`](Self::mirror_position),
-    /// built here if no call built it before): the mirror of every
-    /// entry's mirror is the entry itself.
+    /// Checks the CSR's mirror lane (see
+    /// [`mirror_position`](Self::mirror_position), built here if no call
+    /// built it before): the mirror of every entry's mirror is the entry
+    /// itself, over the same link.
     ///
     /// # Errors
     ///
     /// Returns [`TopologyError::CorruptWire`] naming the first violation.
     pub fn validate(&self) -> Result<()> {
-        let corrupt = |reason: String| Err(TopologyError::CorruptWire { reason });
-        let n = self.asns.len() as u32;
-        let mut seen_asns = std::collections::HashSet::with_capacity(self.asns.len());
-        for &asn in &self.asns {
-            if !seen_asns.insert(asn) {
-                return corrupt(format!("{asn} appears twice in the node table"));
-            }
-        }
-        let mut seen_links = std::collections::HashSet::with_capacity(self.links.len());
-        for (id, link) in self.links.iter().enumerate() {
-            if link.a >= n || link.b >= n {
-                return corrupt(format!(
-                    "link#{id} references node index {} of {n} nodes",
-                    link.a.max(link.b)
-                ));
-            }
-            if link.a == link.b {
-                return corrupt(format!(
-                    "link#{id} connects {} to itself",
-                    self.asns[link.a as usize]
-                ));
-            }
-            let key = (link.a.min(link.b), link.a.max(link.b));
-            if !seen_links.insert(key) {
-                return corrupt(format!(
-                    "duplicate link between {} and {}",
-                    self.asns[link.a as usize], self.asns[link.b as usize]
-                ));
-            }
-        }
-        if !self.adjacency.offsets.is_empty() {
-            self.adjacency.check_mirrors(&self.asns).or_else(corrupt)?;
-        }
-        Ok(())
-    }
-
-    /// Rebuilds the skipped lookup tables after deserialization.
-    ///
-    /// [`AsGraph`] serializes only its canonical tables (`asns` and
-    /// `links`); call this after deserializing to restore the
-    /// `Asn → index` map and the CSR adjacency. For input that may have
-    /// been hand-edited or corrupted, run [`validate`](Self::validate)
-    /// first.
-    pub fn rebuild_indices(&mut self) {
-        self.index = self
-            .asns
-            .iter()
-            .enumerate()
-            .map(|(i, &asn)| (asn, i as u32))
-            .collect();
-        self.adjacency = CsrAdjacency::build(self.asns.len(), &self.links, &self.asns);
+        self.adjacency
+            .check_mirrors(&self.asns)
+            .map_err(|reason| TopologyError::CorruptWire { reason })
     }
 
     /// ASes with no customers and at least one provider — "stub" ASes.
@@ -880,6 +807,43 @@ impl AsGraph {
             .filter(move |&i| self.provider_indices(i).is_empty())
             .map(move |i| self.asn_at(i))
     }
+}
+
+/// Decodes `{asns, links}` through [`AsGraphBuilder`], so a decoded graph
+/// passes every check a built one does (no self-loop, no conflicting
+/// link, an acyclic provider hierarchy) and arrives with its index and
+/// CSR built. A serialized graph is canonical, so the decoder also
+/// rejects what the builder tolerates in a dataset: a repeated ASN, a
+/// link endpoint outside the node table, and a repeated link.
+impl Deserialize for AsGraph {
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
+        let asns: Vec<Asn> = Deserialize::from_value(v.field("asns")?)?;
+        let links: Vec<LinkRecord> = Deserialize::from_value(v.field("links")?)?;
+        decode(&asns, &links).map_err(|e| serde::Error::msg(e.to_string()))
+    }
+}
+
+fn decode(asns: &[Asn], links: &[LinkRecord]) -> Result<AsGraph> {
+    let corrupt = |reason: String| Err(TopologyError::CorruptWire { reason });
+    let mut builder = AsGraphBuilder::with_capacity(asns.len(), links.len());
+    for (i, &asn) in asns.iter().enumerate() {
+        if builder.add_as(asn) as usize != i {
+            return corrupt(format!("{asn} appears twice in the node table"));
+        }
+    }
+    for (id, link) in links.iter().enumerate() {
+        let (Some(&a), Some(&b)) = (asns.get(link.a as usize), asns.get(link.b as usize)) else {
+            return corrupt(format!(
+                "link#{id} references node index {} of {} nodes",
+                link.a.max(link.b),
+                asns.len()
+            ));
+        };
+        if builder.add_link(a, b, link.relationship)?.index() != id {
+            return corrupt(format!("link#{id} repeats the link between {a} and {b}"));
+        }
+    }
+    builder.build()
 }
 
 /// Iterator over the neighbors of an AS, yielding [`Asn`]s.
@@ -998,60 +962,64 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn deserialized_graph_is_empty_but_safe_before_rebuild() {
+    /// Decodes fig1's node and link tables after `edit`.
+    fn decode_edited(edit: impl Fn(&mut Vec<Asn>, &mut Vec<LinkRecord>)) -> Result<AsGraph> {
         let g = fig1();
-        let json = serde_json::to_string(&g).unwrap();
-        let back: AsGraph = serde_json::from_str(&json).unwrap();
-        // Without rebuild_indices() the skipped tables are empty; every
-        // query degrades to "no neighbors" rather than panicking.
-        assert_eq!(back.provider_indices(0), &[] as &[u32]);
-        assert_eq!(back.neighbor_indices(0), &[] as &[u32]);
-        assert_eq!(back.degree_of_index(0), 0);
-        assert_eq!(back.neighbor_kind_by_index(0, 1), None);
-        assert_eq!(back.stub_ases().count(), 0);
+        let (mut asns, mut links) = (g.asns, g.links);
+        edit(&mut asns, &mut links);
+        decode(&asns, &links)
     }
 
     #[test]
-    fn validate_accepts_well_formed_and_rejects_corrupt_wire_graphs() {
-        let g = fig1();
-        g.validate().expect("builder output is well-formed");
-        let json = serde_json::to_string(&g).unwrap();
-        let back: AsGraph = serde_json::from_str(&json).unwrap();
-        back.validate().expect("round-tripped graph is well-formed");
-
-        // Out-of-range endpoint.
-        let mut corrupt = back.clone();
-        corrupt.links[0].a = corrupt.asns.len() as u32 + 7;
-        assert!(matches!(
-            corrupt.validate(),
-            Err(TopologyError::CorruptWire { .. })
-        ));
-        // Self-loop.
-        let mut corrupt = back.clone();
-        corrupt.links[0].b = corrupt.links[0].a;
-        assert!(matches!(
-            corrupt.validate(),
-            Err(TopologyError::CorruptWire { .. })
-        ));
-        // Duplicate link (reversed endpoints still collide).
-        let mut corrupt = back.clone();
-        let dup = LinkRecord {
-            a: corrupt.links[0].b,
-            b: corrupt.links[0].a,
-            relationship: corrupt.links[0].relationship,
+    fn decode_accepts_well_formed_and_rejects_corrupt_wire_graphs() {
+        decode_edited(|_, _| {}).expect("the tables of a built graph decode");
+        let corrupt = |result: Result<AsGraph>, reason: &str| match result {
+            Err(TopologyError::CorruptWire { reason: got }) => {
+                assert!(got.contains(reason), "{got:?} lacks {reason:?}");
+            }
+            other => panic!("expected a corrupt-wire error, got {other:?}"),
         };
-        corrupt.links.push(dup);
+        corrupt(
+            decode_edited(|asns, links| links[0].a = asns.len() as u32 + 7),
+            "node index",
+        );
+        corrupt(decode_edited(|asns, _| asns[1] = asns[0]), "twice");
+        // fig1 lists its transit links first and its peering links last.
+        let reversed = |link: &LinkRecord| LinkRecord {
+            a: link.b,
+            b: link.a,
+            ..link.clone()
+        };
+        corrupt(
+            decode_edited(|_, links| links.push(links[0].clone())),
+            "repeats",
+        );
+        corrupt(
+            decode_edited(|_, links| links.push(reversed(links.last().unwrap()))),
+            "repeats",
+        );
+        // What the builder rejects, decoding rejects with its error: a
+        // self-loop, a reversed transit link, and a provider cycle (D's
+        // customer H made A's provider; A is D's provider).
         assert!(matches!(
-            corrupt.validate(),
-            Err(TopologyError::CorruptWire { .. })
+            decode_edited(|_, links| links[0].b = links[0].a),
+            Err(TopologyError::SelfLoop { .. })
         ));
-        // Duplicate ASN.
-        let mut corrupt = back.clone();
-        corrupt.asns[1] = corrupt.asns[0];
         assert!(matches!(
-            corrupt.validate(),
-            Err(TopologyError::CorruptWire { .. })
+            decode_edited(|_, links| links.push(reversed(&links[0]))),
+            Err(TopologyError::ConflictingLink { .. })
+        ));
+        assert!(matches!(
+            decode_edited(|asns, links| {
+                let index = |c: char| asns.iter().position(|&x| x == a(c)).unwrap() as u32;
+                let (a, b) = (index('H'), index('A'));
+                links.push(LinkRecord {
+                    a,
+                    b,
+                    relationship: Relationship::ProviderToCustomer,
+                });
+            }),
+            Err(TopologyError::ProviderCycle { .. })
         ));
     }
 
@@ -1059,13 +1027,16 @@ mod tests {
     fn serde_round_trip_with_rebuild() {
         let g = fig1();
         let json = serde_json::to_string(&g).unwrap();
-        let mut back: AsGraph = serde_json::from_str(&json).unwrap();
-        back.rebuild_indices();
+        let back: AsGraph = serde_json::from_str(&json).unwrap();
         assert_eq!(back.node_count(), g.node_count());
         assert_eq!(
             back.neighbor_kind(a('D'), a('A')),
             Some(NeighborKind::Provider)
         );
+        assert_eq!(back.adjacency.offsets, g.adjacency.offsets);
+        assert_eq!(back.adjacency.neighbors, g.adjacency.neighbors);
+        assert_eq!(back.adjacency.link_ids, g.adjacency.link_ids);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 
     #[test]
@@ -1321,8 +1292,7 @@ mod tests {
                 assert_mirror_lane_matches_search(&g);
 
                 // New peering links between non-adjacent pairs, added in
-                // place: the CSR must equal the one rebuilt from the
-                // same links.
+                // place.
                 let mut extended = g.clone();
                 for &(u, v) in &added {
                     let (u, v) = (u % nodes, v % nodes);
@@ -1332,19 +1302,16 @@ mod tests {
                         prop_assert_eq!(extended.neighbor_position(v, u), Some(pos_v));
                     }
                 }
-                let mut rebuilt = extended.clone();
-                rebuilt.rebuild_indices();
-                prop_assert_eq!(&extended.adjacency.offsets, &rebuilt.adjacency.offsets);
-                prop_assert_eq!(&extended.adjacency.neighbors, &rebuilt.adjacency.neighbors);
-                prop_assert_eq!(&extended.adjacency.link_ids, &rebuilt.adjacency.link_ids);
                 assert_mirror_lane_matches_search(&extended);
 
-                // The lane is off the wire and comes back with the CSR.
+                // The lane is off the wire. Decoding rebuilds the CSR from
+                // the link table, and it must equal the one grown in place.
                 let json = serde_json::to_string(&extended).unwrap();
                 prop_assert!(!json.contains("mirrors"));
-                let mut back: AsGraph = serde_json::from_str(&json).unwrap();
-                back.validate().unwrap();
-                back.rebuild_indices();
+                let back: AsGraph = serde_json::from_str(&json).unwrap();
+                prop_assert_eq!(&extended.adjacency.offsets, &back.adjacency.offsets);
+                prop_assert_eq!(&extended.adjacency.neighbors, &back.adjacency.neighbors);
+                prop_assert_eq!(&extended.adjacency.link_ids, &back.adjacency.link_ids);
                 assert_mirror_lane_matches_search(&back);
                 prop_assert_eq!(back.adjacency.mirrors.get(), extended.adjacency.mirrors.get());
             }
